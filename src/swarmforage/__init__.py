@@ -3,7 +3,8 @@
 __version__ = "0.1.0"
 
 from .core import Arena, CpfaParams, DEFAULT_PARAMS, RngStreams, poisson_cdf
-from .engine import MotionLimits, TrialConfig, TrialResult, World, run_trial
+from .engine import TrialConfig, TrialResult, World, run_trial
+from .kinematics import MotionLimits
 from .layouts import Distribution, LayoutSpec, ResourceField, generate
 
 __all__ = [

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -14,13 +15,13 @@ import time
 
 from .core import Arena, DEFAULT_PARAMS, load_params, save_params
 from .engine import TrialConfig, run_trial
-from .gateway import GatewayConfig, mock_serve
+from .gateway import MODES, REASONING_EFFORTS, GatewayConfig, mock_serve
 from .harness import (
-    ARENA_RESOURCES,
     GridSpec,
     emit_boxplot_data,
     load_store,
     run_grid,
+    standard_resource_count,
     summarize,
     write_summary_csv,
     write_summary_markdown,
@@ -30,15 +31,17 @@ from .tuner import GaConfig, ga_run, save_history
 
 
 def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--llm-mode", default="mock", choices=("live", "mock", "replay", "record"))
-    parser.add_argument("--llm-base-url", default="http://127.0.0.1:8080/v1")
-    parser.add_argument("--llm-model", default="mock-model")
-    parser.add_argument("--llm-api-key-env", default="OPENAI_API_KEY")
-    parser.add_argument("--llm-timeout", type=float, default=30.0)
-    parser.add_argument("--llm-mock-behavior", default="scripted")
-    parser.add_argument("--llm-cassette", default=None)
-    parser.add_argument("--llm-reasoning-effort", default="low", choices=("low", "medium", "high"))
-    parser.add_argument("--llm-max-output-tokens", type=int, default=1024)
+    default = GatewayConfig()
+    parser.add_argument("--llm-mode", default=default.mode, choices=MODES)
+    parser.add_argument("--llm-base-url", default=default.base_url)
+    parser.add_argument("--llm-model", default=default.model_name)
+    parser.add_argument("--llm-api-key-env", default=default.api_key_env)
+    parser.add_argument("--llm-timeout", type=float, default=default.timeout)
+    parser.add_argument("--llm-mock-behavior", default=default.mock_behavior)
+    parser.add_argument("--llm-cassette", default=default.cassette_path)
+    parser.add_argument("--llm-reasoning-effort", default=default.reasoning_effort,
+                        choices=REASONING_EFFORTS)
+    parser.add_argument("--llm-max-output-tokens", type=int, default=default.max_output_tokens)
 
 
 def _gateway_from_args(args) -> GatewayConfig:
@@ -53,6 +56,18 @@ def _gateway_from_args(args) -> GatewayConfig:
         mock_behavior=args.llm_mock_behavior,
         cassette_path=args.llm_cassette,
     )
+
+
+def _resource_count(args) -> int | None:
+    """--count, else the standard count for --arena; None, after saying
+    why on stderr, for a non-standard arena without --count."""
+    if args.count is not None:
+        return args.count
+    try:
+        return standard_resource_count(args.arena)
+    except ValueError:
+        print("--count is required for non-standard arena sizes", file=sys.stderr)
+        return None
 
 
 def _cmd_gen_layout(args) -> int:
@@ -71,9 +86,8 @@ def _cmd_gen_layout(args) -> int:
 
 def _cmd_run_trial(args) -> int:
     arena = Arena.square(args.arena)
-    count = args.count if args.count is not None else ARENA_RESOURCES.get(args.arena)
+    count = _resource_count(args)
     if count is None:
-        print("--count is required for non-standard arena sizes", file=sys.stderr)
         return 1
     params = load_params(args.params) if args.params else DEFAULT_PARAMS
     layout_seed = args.layout_seed if args.layout_seed is not None else args.seed
@@ -97,8 +111,7 @@ def _cmd_run_trial(args) -> int:
         "deposits": result.deposits,
         "llm_calls": result.llm_calls,
         "llm_fallbacks": result.llm_fallbacks,
-        "latency_mean": (sum(result.latency_samples) / len(result.latency_samples))
-        if result.latency_samples else None,
+        "latency_mean": result.latency_mean,
         "settings": result.settings,
     }
     print(json.dumps(report, indent=2))
@@ -106,6 +119,9 @@ def _cmd_run_trial(args) -> int:
 
 
 def _cmd_ga_train(args) -> int:
+    count = _resource_count(args)
+    if count is None:
+        return 1
     config = GaConfig(
         population=args.population,
         generations=args.generations,
@@ -113,7 +129,7 @@ def _cmd_ga_train(args) -> int:
         eval_duration=args.duration,
         team_size=args.team,
         arena_side=args.arena,
-        resource_count=args.count if args.count is not None else ARENA_RESOURCES[args.arena],
+        resource_count=count,
         distribution=Distribution(args.dist),
         master_seed=args.seed,
         workers=args.workers,
@@ -128,30 +144,33 @@ def _cmd_ga_train(args) -> int:
     return 0
 
 
+# grid.json keys and how each value is read; absent keys keep GridSpec's defaults.
+GRID_SPEC_KEYS = {
+    "team_sizes": tuple,
+    "arena_sides": lambda sides: tuple(float(side) for side in sides),
+    "distributions": tuple,
+    "trials_per_cell": int,
+    "duration": float,
+    "policies": tuple,
+    "master_seed": int,
+}
+
+
 def _load_grid_spec(args) -> GridSpec:
     overrides = {}
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
-    params = DEFAULT_PARAMS
-    if "params_file" in overrides:
-        params = load_params(overrides.pop("params_file"))
-    if args.params:
-        params = load_params(args.params)
-    policies = tuple(args.policies.split(",")) if args.policies else None
-    kwargs = dict(
-        team_sizes=tuple(overrides.get("team_sizes", (4, 6, 8, 10))),
-        arena_sides=tuple(float(a) for a in overrides.get("arena_sides", (6.0, 8.0, 10.0))),
-        distributions=tuple(overrides.get("distributions", ("clustered", "powerlaw", "random"))),
-        trials_per_cell=int(overrides.get("trials_per_cell", 10)),
-        duration=float(overrides.get("duration", 1200.0)),
-        policies=policies or tuple(overrides.get("policies", ("cascade", "scripted"))),
-        master_seed=int(overrides.get("master_seed", 0)),
-        params=params,
-    )
-    if any(p == "llm" for p in kwargs["policies"]):
-        kwargs["gateway"] = _gateway_from_args(args)
-    return GridSpec(**kwargs)
+    kwargs = {key: read(overrides[key]) for key, read in GRID_SPEC_KEYS.items() if key in overrides}
+    if args.policies:
+        kwargs["policies"] = tuple(args.policies.split(","))
+    params_file = args.params or overrides.get("params_file")
+    if params_file:
+        kwargs["params"] = load_params(params_file)
+    spec = GridSpec(**kwargs)
+    if "llm" in spec.policies:
+        spec = dataclasses.replace(spec, gateway=_gateway_from_args(args))
+    return spec
 
 
 def _cmd_run_grid(args) -> int:
@@ -165,8 +184,7 @@ def _cmd_run_grid(args) -> int:
         print(f"[{done['n']}] {row['key']}: "
               + (f"deposits={row['deposits']}" if status == "ok" else f"ERROR {row.get('error')}"))
 
-    rows = run_grid(spec, args.out, parallelism=args.parallelism,
-                    resume=args.resume, progress=progress)
+    rows = run_grid(spec, args.out, parallelism=args.parallelism, progress=progress)
     ok = sum(1 for r in rows if r.get("status") == "ok")
     failed = sum(1 for r in rows if r.get("status") == "error")
     print(f"grid complete: {ok}/{total} trials ok, {failed} failed; store at {args.out}")
@@ -255,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True)
     _add_gateway_args(p)
     p.set_defaults(func=_cmd_run_grid)
 

@@ -4,9 +4,8 @@ Each robot runs the classic ant-inspired state machine: disperse, walk a
 correlated random search, carry finds back to the central zone, and pick
 the next move from site fidelity, pheromone trails, or fresh random
 search.  The three tactical choices (after a deposit, on an empty-handed
-arrival, and on search starvation) are delegated to a pluggable policy;
-the parameter-driven cascades here are both the vanilla behaviour and
-the fallback for failed policy calls.
+arrival, and on search starvation) are delegated to a pluggable policy,
+and the chosen action is carried out with the kinematics primitives.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SIGMA_MAX, CpfaParams, FatalPolicyError, poisson_cdf
-from .engine import YIELD_TURN_RAD, RobotPose, move_toward, wrap_angle
+from .kinematics import YIELD_TURN_RAD, RobotPose, move_toward, wrap_angle
 from .policy import (
     DecisionEvent,
     EventType,
@@ -26,6 +25,7 @@ from .policy import (
     TacticalAction,
     build_whitelist,
     fallback_decide,
+    should_give_up,
 )
 
 # Unsuccessful search raises the starvation decision after T_S seconds,
@@ -94,39 +94,8 @@ def informed_step_heading(
     return wrap_angle(heading + rng.normal(0.0, informed_sigma(t_informed, params)))
 
 
-def cascade_post_deposit(
-    mem: ForagerMemory,
-    pheromones_active: int,
-    params: CpfaParams,
-    rng: np.random.Generator,
-) -> TacticalAction:
-    """Vanilla choice after a deposit: fidelity, then trails, then random."""
-    if mem.fidelity_flag and rng.uniform() < poisson_cdf(mem.last_density, params.lambda_f):
-        return TacticalAction.USE_SITE_FIDELITY
-    if pheromones_active > 0:
-        return TacticalAction.FOLLOW_PHEROMONE
-    return TacticalAction.UNINFORMED_SEARCH
-
-
-def cascade_central_arrival(
-    mem: ForagerMemory,
-    pheromones_active: int,
-    params: CpfaParams,
-    rng: np.random.Generator,
-) -> TacticalAction:
-    """Two-way cascade after an empty-handed return (fidelity flag was
-    cleared on give-up, so that branch is disabled)."""
-    if pheromones_active > 0:
-        return TacticalAction.FOLLOW_PHEROMONE
-    return TacticalAction.UNINFORMED_SEARCH
-
-
 def should_lay_pheromone(c: int, params: CpfaParams, rng: np.random.Generator) -> bool:
     return poisson_cdf(c, params.lambda_lp) > rng.uniform()
-
-
-def should_give_up(params: CpfaParams, rng: np.random.Generator) -> bool:
-    return rng.uniform() < params.p_r
 
 
 def should_switch_to_search(params: CpfaParams, rng: np.random.Generator) -> bool:
@@ -148,7 +117,7 @@ class Robot:
     next_tick_at: float = TICK_PERIOD_S
     next_starvation_at: Optional[float] = None
     hold_until: Optional[float] = None
-    pending: Optional[tuple] = None
+    pending: Optional[tuple[DecisionEvent, PolicyDecision]] = None
 
     @property
     def robot_id(self) -> str:
@@ -340,7 +309,7 @@ def _starvation_decision(robot: Robot, world, policy) -> None:
     _log_decision(robot, world, event, decision, decision.source, decision.action, None)
     if world.injected_latency and decision.llm_call:
         robot.hold_until = world.t + world.injected_latency
-        robot.pending = ("starvation", decision)
+        robot.pending = (event, decision)
         return
     _apply_starvation_action(robot, world, decision.action)
 
@@ -375,11 +344,11 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
             return robot.state
         pending, robot.pending, robot.hold_until = robot.pending, None, None
         if pending is not None:
-            head, decision = pending
-            if head == "starvation":
+            event, decision = pending
+            if event.event_type is EventType.SEARCH_STARVATION:
                 _apply_starvation_action(robot, world, decision.action)
             else:
-                _execute_center_action(robot, world, head, decision)
+                _execute_center_action(robot, world, event, decision)
         return robot.state
 
     if robot.state in SEARCHING_STATES:
@@ -387,8 +356,7 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
             pickup = world.try_pickup(robot)
             if pickup is not None:
                 robot.carrying = True
-                mem.last_pickup_location = pickup.location
-                mem.last_density = pickup.density
+                mem.last_pickup_location, mem.last_density = pickup
                 mem.fidelity_flag = True
                 mem.last_pickup_time = now
                 robot._go_home(world, carrying=True)

@@ -24,43 +24,22 @@ from .core import (
     pheromone_strength,
     prune_pheromones,
 )
+from .cpfa import Robot
+from .gateway import GatewayConfig, LlmClient, LlmPolicy
+from .kinematics import MotionLimits, RobotPose, apply_yield, wrap_angle
 from .layouts import LayoutSpec, ResourceField, generate
+from .policy import CascadePolicy, DecisionPolicy, FixedActionPolicy, ScriptedPolicy
 
-# Turn-then-drive gate: the robot only translates once its heading is
-# within this error of the bearing to its target.
-HEADING_GATE_RAD = math.pi / 6.0
-# Fixed in-place turn applied to yield-gated robots to break deadlocks.
-YIELD_TURN_RAD = 0.1
 # Robots spawn on a ring this far outside the central zone.
 SPAWN_RING_MARGIN = 0.3
 # At-centre prompts carry at most this many waypoints.
 PHEROMONE_SUMMARY_CAP = 10
 
+POLICY_NAMES = ("cascade", "scripted", "uninformed", "llm")
+
 
 class TrialError(Exception):
     """A trial could not be initialised or driven to completion."""
-
-
-@dataclass
-class RobotPose:
-    x: float
-    y: float
-    heading: float  # radians in [-pi, pi)
-
-
-@dataclass(frozen=True)
-class MotionLimits:
-    linear_speed: float = 0.3  # m/s
-    angular_speed: float = 1.0  # rad/s
-    pickup_radius: float = 0.3  # m
-    yield_radius: float = 0.35  # m
-    arrival_tolerance: float = 0.05  # m
-    density_radius: float = 0.5  # m, resource-density sensing disc
-    dt: float = 0.1  # s
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.dt > 0.2:
-            raise ValueError("dt must be in (0, 0.2] s")
 
 
 @dataclass
@@ -73,8 +52,7 @@ class TrialConfig:
     duration: float = 1200.0
     seed: int = 0
     limits: MotionLimits = field(default_factory=MotionLimits)
-    gateway: object = None  # GatewayConfig when policy == "llm"
-    pheromone_selection: str = "strength"  # or "uniform"
+    gateway: Optional[GatewayConfig] = None  # required when policy == "llm"
 
     def __post_init__(self):
         if self.duration < 0:
@@ -98,78 +76,18 @@ class TrialResult:
         lines = [json.dumps(rec, separators=(",", ":")) for rec in self.event_log]
         return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
-
-@dataclass
-class PickupEvent:
-    robot_id: str
-    location: tuple[float, float]
-    density: int
-
-
-@dataclass
-class DepositEvent:
-    robot_id: str
-    position: tuple[float, float]
-
-
-def wrap_angle(angle: float) -> float:
-    """Wrap to [-pi, pi)."""
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if wrapped < 0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
-
-
-def move_toward(pose: RobotPose, target: tuple[float, float], limits: MotionLimits) -> RobotPose:
-    """One dt of turn-then-drive motion toward ``target``.
-
-    Heading rotates toward the bearing by at most angular_speed*dt; the
-    robot translates only once the remaining heading error is inside the
-    gate, and never overshoots the target.
-    """
-    dx = target[0] - pose.x
-    dy = target[1] - pose.y
-    dist = math.hypot(dx, dy)
-    if dist <= limits.arrival_tolerance:
-        return RobotPose(pose.x, pose.y, pose.heading)
-    bearing = math.atan2(dy, dx)
-    error = wrap_angle(bearing - pose.heading)
-    max_turn = limits.angular_speed * limits.dt
-    turn = max(-max_turn, min(max_turn, error))
-    heading = wrap_angle(pose.heading + turn)
-    remaining = wrap_angle(bearing - heading)
-    x, y = pose.x, pose.y
-    if abs(remaining) <= HEADING_GATE_RAD:
-        step = min(limits.linear_speed * limits.dt, dist)
-        x += step * math.cos(heading)
-        y += step * math.sin(heading)
-    return RobotPose(x, y, heading)
-
-
-def apply_yield(poses: list[RobotPose], limits: MotionLimits) -> list[bool]:
-    """Per-robot motion gates from the pairwise yield rule.
-
-    For every pair closer than yield_radius the higher-indexed robot is
-    gated; gates compose over pairs, so of two close robots exactly the
-    higher one halts.
-    """
-    n = len(poses)
-    gated = [False] * n
-    for j in range(1, n):
-        for i in range(j):
-            if math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y) < limits.yield_radius:
-                gated[j] = True
-                break
-    return gated
+    @property
+    def latency_mean(self) -> Optional[float]:
+        """Mean LLM call latency in seconds; None when no call was timed."""
+        return float(np.mean(self.latency_samples)) if self.latency_samples else None
 
 
 class PheromoneManager:
-    """The shared pheromone field: deposit, decay, prune, and select."""
+    """The shared pheromone field: deposit, decay, prune, and select in
+    proportion to strength."""
 
-    def __init__(self, decay_rate: float, selection: str = "strength",
-                 threshold: float = PHEROMONE_EXPIRY_THRESHOLD):
+    def __init__(self, decay_rate: float, threshold: float = PHEROMONE_EXPIRY_THRESHOLD):
         self.decay_rate = decay_rate
-        self.selection = selection
         self.threshold = threshold
         self.waypoints: list[PheromoneWaypoint] = []
 
@@ -204,11 +122,8 @@ class PheromoneManager:
         pairs = self.active(now)
         if not pairs:
             return None
-        if self.selection == "uniform":
-            idx = int(rng.integers(len(pairs)))
-        else:
-            weights = np.array([s for _, s in pairs])
-            idx = int(rng.choice(len(pairs), p=weights / weights.sum()))
+        weights = np.array([s for _, s in pairs])
+        idx = int(rng.choice(len(pairs), p=weights / weights.sum()))
         return pairs[idx][0]
 
 
@@ -217,18 +132,13 @@ class World:
 
     def __init__(self, config: TrialConfig, resources: ResourceField | None = None,
                  policy_factory=None):
-        from . import cpfa  # deferred: cpfa drives robots built by this world
-        from .policy import make_policy
-
         self.config = config
         self.arena = config.arena
         self.params = config.params
         self.limits = config.limits
         self.streams = RngStreams(config.seed)
         self.resources = resources if resources is not None else generate(config.layout)
-        self.pheromones = PheromoneManager(
-            decay_rate=config.params.lambda_d, selection=config.pheromone_selection
-        )
+        self.pheromones = PheromoneManager(decay_rate=config.params.lambda_d)
         self.step_index = 0
         self.deposits = 0
         self.event_log: list = []
@@ -237,25 +147,14 @@ class World:
         self.latency_samples: list = []
         self.outcome_counts: dict = {}
         self.injected_latency = getattr(config.gateway, "injected_latency", None)
-        self._llm_client = None
 
         if policy_factory is None:
-            client = None
-            if config.policy == "llm":
-                from .gateway import LlmClient
-
-                if config.gateway is None:
-                    raise TrialError("policy 'llm' requires a gateway config")
-                client = LlmClient(config.gateway)
-                self._llm_client = client
-
-            lenient = bool(getattr(config.gateway, "lenient_validation", False))
+            # one client per trial, shared by every robot's llm policy
+            client = (LlmClient(config.gateway)
+                      if config.policy == "llm" and config.gateway is not None else None)
 
             def policy_factory(index: int):
-                return make_policy(
-                    config.policy, config.params, self.streams.policy(index),
-                    client=client, lenient=lenient,
-                )
+                return make_policy(config.policy, config.params, self.streams.policy(index), client)
 
         spawn_radius = config.arena.center_zone_radius + SPAWN_RING_MARGIN
         self.robots = []
@@ -265,7 +164,7 @@ class World:
             pose = RobotPose(
                 spawn_radius * math.cos(angle), spawn_radius * math.sin(angle), wrap_angle(angle)
             )
-            robot = cpfa.Robot(index=i, pose=pose, rng=self.streams.robot(i), params=config.params)
+            robot = Robot(index=i, pose=pose, rng=self.streams.robot(i), params=config.params)
             robot.assign_disperse_target(self)
             self.robots.append(robot)
             try:
@@ -306,8 +205,12 @@ class World:
 
     # -- resource interactions ---------------------------------------------
 
-    def try_pickup(self, robot) -> Optional[PickupEvent]:
-        """Pick the nearest unpicked resource inside the pickup disc."""
+    def try_pickup(self, robot) -> Optional[tuple[tuple[float, float], int]]:
+        """Pick the nearest unpicked resource inside the pickup disc.
+
+        Returns its location and the unpicked resources left within the
+        density radius of it, or None when nothing is in reach.
+        """
         res = self.resources
         if len(res) == 0:
             return None
@@ -327,18 +230,17 @@ class World:
         ndy = res.positions[:, 1] - loc[1]
         near = (ndx * ndx + ndy * ndy) <= self.limits.density_radius**2
         density = int((near & ~res.picked).sum())
-        event = PickupEvent(robot_id=robot.robot_id, location=loc, density=density)
         self.log(robot, "PICKUP", {"location": [loc[0], loc[1]], "density": density})
-        return event
+        return loc, density
 
-    def try_deposit(self, robot) -> Optional[DepositEvent]:
+    def try_deposit(self, robot) -> bool:
+        """Deposit the carried resource; False when outside the central zone."""
         if math.hypot(robot.pose.x, robot.pose.y) > self.arena.center_zone_radius:
-            return None
+            return False
         robot.carrying = False
         self.deposits += 1
-        event = DepositEvent(robot_id=robot.robot_id, position=(robot.pose.x, robot.pose.y))
         self.log(robot, "DEPOSIT", {"total": self.deposits})
-        return event
+        return True
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -417,3 +319,24 @@ def run_trial(config: TrialConfig, resources: ResourceField | None = None,
     """Run one full trial and return its result."""
     world = World(config, resources=resources, policy_factory=policy_factory)
     return world.run()
+
+
+def make_policy(
+    selector: str,
+    params: CpfaParams,
+    rng: np.random.Generator,
+    client: Optional[LlmClient] = None,
+) -> DecisionPolicy:
+    """Build the policy named by ``selector`` for one robot; ``llm`` needs
+    the trial's gateway client."""
+    if selector == "cascade":
+        return CascadePolicy(params, rng)
+    if selector == "scripted":
+        return ScriptedPolicy()
+    if selector == "uninformed":
+        return FixedActionPolicy()
+    if selector == "llm":
+        if client is None:
+            raise ValueError("policy 'llm' requires a gateway config")
+        return LlmPolicy(client, params, rng)
+    raise ValueError(f"unknown policy {selector!r}; expected one of {POLICY_NAMES}")

@@ -5,7 +5,8 @@ an in-process mock (no sockets at all), record (live calls appended to a
 cassette), and replay (cassette lookups, byte-faithful).  A small local
 HTTP server reproducing the endpoint shape is included for integration
 tests.  Every call is tracked as a CallRecord so trials can report call,
-fallback, and latency statistics.
+fallback, and latency statistics.  ``LlmPolicy`` is the decision policy
+that speaks this protocol and falls back to the cascade on any failure.
 """
 from __future__ import annotations
 
@@ -18,10 +19,21 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+import numpy as np
 import requests
 
-from .core import FatalPolicyError
-from .policy import DecisionEvent, DecisionResponse, EventType, FallbackSignal, scripted_decide
+from .core import CpfaParams, FatalPolicyError
+from .policy import (
+    DecisionEvent,
+    DecisionPolicy,
+    DecisionResponse,
+    EventType,
+    FallbackSignal,
+    PolicyDecision,
+    fallback_decide,
+    scripted_decide,
+    validate,
+)
 
 PROMPT_VERSION = "1"
 SYSTEM_INSTRUCTION = (
@@ -53,7 +65,6 @@ class GatewayConfig:
     injected_latency: Optional[float] = None
     mock_behavior: str = "scripted"  # also accepts "fixed:<ACTION>"
     cassette_path: Optional[str] = None
-    lenient_validation: bool = False
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -288,6 +299,52 @@ class LlmClient:
         return GatewayResult(body=content, latency=latency)
 
 
+class LlmPolicy(DecisionPolicy):
+    """Queries an LLM endpoint through the gateway; cascade on failure."""
+
+    name = "llm"
+
+    def __init__(self, client: LlmClient, params: CpfaParams, rng: np.random.Generator):
+        self.client = client
+        self.params = params
+        self.rng = rng
+
+    def decide(self, event: DecisionEvent) -> PolicyDecision:
+        request = build_prompt(event)
+        result = self.client.call(request)
+        if result.error is not None:
+            raw: DecisionResponse | FallbackSignal = FallbackSignal("timeout")
+        else:
+            raw = parse_response(result.body)
+        validated = validate(raw, event)
+        if isinstance(validated, FallbackSignal):
+            outcome = validated.reason
+            action = fallback_decide(event, self.params, self.rng)
+            decision = PolicyDecision(
+                action=action,
+                source="fallback",
+                fallback_reason=validated.reason,
+                llm_call=True,
+                latency=result.latency,
+                request_body=request,
+                response_body=result.body,
+            )
+        else:
+            outcome = "ok"
+            assert isinstance(raw, DecisionResponse)
+            decision = PolicyDecision(
+                action=validated,
+                source="llm",
+                rationale=raw.rationale,
+                llm_call=True,
+                latency=result.latency,
+                request_body=request,
+                response_body=result.body,
+            )
+        self.client.finish_call(event, request, result, outcome)
+        return decision
+
+
 class MockLlmServer:
     """Local OpenAI-shaped endpoint for integration tests and demos."""
 
@@ -314,11 +371,14 @@ class MockLlmServer:
                 else:
                     content = mock_content_for(server.behavior, request)
                 payload = json.dumps({"choices": [{"message": {"content": content}}]})
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload.encode("utf-8"))
+                try:
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload.encode("utf-8"))
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client timed out and closed the connection
 
         self.behavior = behavior
         self.hang_seconds = hang_seconds

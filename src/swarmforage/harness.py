@@ -19,9 +19,11 @@ import numpy as np
 
 from .core import Arena, CpfaParams, DEFAULT_PARAMS, derive_seed
 from .engine import TrialConfig, run_trial
+from .gateway import GatewayConfig
 from .layouts import Distribution, LayoutSpec
 
-# Resource stock is a pure function of arena side (holds density constant).
+# Standard resource stock per arena side.  Density is not constant: 64 in
+# 36 m^2, 128 in 64 m^2 and 256 in 100 m^2 are 1.8, 2.0 and 2.6 per m^2.
 ARENA_RESOURCES = {6.0: 64, 8.0: 128, 10.0: 256}
 
 RESULTS_FILE = "results.jsonl"
@@ -38,13 +40,7 @@ class GridSpec:
     policies: tuple = ("cascade", "scripted")
     master_seed: int = 0
     params: CpfaParams = DEFAULT_PARAMS
-    gateway: object = None  # GatewayConfig for any "llm" policy entries
-    paired_seeds: bool = True
-    resource_counts: Optional[dict] = None  # override arena -> count
-
-    def arena_count(self, side: float) -> int:
-        table = self.resource_counts or ARENA_RESOURCES
-        return table[side]
+    gateway: Optional[GatewayConfig] = None  # for any "llm" policy entries
 
     def cells(self) -> list[tuple]:
         return [
@@ -68,19 +64,23 @@ class GridJob:
         return f"{dist}-a{side:g}-t{team}-trial{self.trial_index}-{self.policy}"
 
 
+def standard_resource_count(side: float) -> int:
+    """The standard resource count for an arena side length."""
+    if side not in ARENA_RESOURCES:
+        raise ValueError(f"no standard resource count for a {side:g} m arena")
+    return ARENA_RESOURCES[side]
+
+
 def expand_grid(spec: GridSpec) -> list[GridJob]:
     """Every (cell, trial, policy) combination as a runnable job."""
     jobs = []
     for team, side, dist in spec.cells():
         arena = Arena.square(side)
-        count = spec.arena_count(side)
+        count = standard_resource_count(side)
         for trial in range(spec.trials_per_cell):
             layout_seed = derive_seed(spec.master_seed, dist, f"a{side:g}", f"t{team}", trial)
+            layout = LayoutSpec(Distribution(dist), count, arena, seed=layout_seed)
             for policy in spec.policies:
-                if not spec.paired_seeds:
-                    layout_seed = derive_seed(spec.master_seed, dist, f"a{side:g}",
-                                              f"t{team}", trial, policy)
-                layout = LayoutSpec(Distribution(dist), count, arena, seed=layout_seed)
                 config = TrialConfig(
                     arena=arena,
                     team_size=team,
@@ -113,7 +113,7 @@ def _job_row(job: GridJob, log_dir: str) -> dict:
         "deposits": result.deposits,
         "llm_calls": result.llm_calls,
         "llm_fallbacks": result.llm_fallbacks,
-        "latency_mean": float(np.mean(result.latency_samples)) if result.latency_samples else None,
+        "latency_mean": result.latency_mean,
         "settings": result.settings,
     }
 
@@ -138,7 +138,7 @@ def load_store(out_dir: str) -> list[dict]:
 
 
 def run_grid(spec: GridSpec, out_dir: str, parallelism: int = 1,
-             resume: bool = True, progress=None) -> list[dict]:
+             progress=None) -> list[dict]:
     """Run all grid jobs, appending rows as they finish; resumable.
 
     Completed keys are never re-executed; error rows are retried on
@@ -148,7 +148,7 @@ def run_grid(spec: GridSpec, out_dir: str, parallelism: int = 1,
     log_dir = os.path.join(out_dir, LOGS_DIR)
     os.makedirs(log_dir, exist_ok=True)
 
-    done = {row["key"] for row in load_store(out_dir) if row.get("status") == "ok"} if resume else set()
+    done = {row["key"] for row in load_store(out_dir) if row.get("status") == "ok"}
     jobs = [job for job in expand_grid(spec) if job.key not in done]
 
     results_path = os.path.join(out_dir, RESULTS_FILE)

@@ -4,8 +4,9 @@ A robot that deposits a resource, arrives at the centre empty-handed, or
 searches too long without success builds a DecisionEvent from its own
 local state plus the shared pheromone manager and asks its policy for an
 action.  Policies are interchangeable: the parameter-driven cascade, a
-deterministic scripted heuristic, a fixed-action stand-in, or an
-LLM-backed client that falls back to the cascade on any failure.
+deterministic scripted heuristic, or a fixed-action stand-in.  The
+LLM-backed policy, which falls back to the cascade on any failure, lives
+beside its transport in ``gateway``.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CpfaParams
+from .core import CpfaParams, poisson_cdf
 
 
 class TacticalAction(str, enum.Enum):
@@ -110,52 +111,54 @@ class FallbackSignal:
 
 
 def validate(
-    raw: DecisionResponse | FallbackSignal,
-    event: DecisionEvent,
-    lenient: bool = False,
+    raw: DecisionResponse | FallbackSignal, event: DecisionEvent
 ) -> TacticalAction | FallbackSignal:
-    """Whitelist check: exact, case-sensitive membership unless lenient."""
+    """Whitelist check: exact, case-sensitive membership."""
     if isinstance(raw, FallbackSignal):
         return raw
-    action = raw.action
-    if lenient:
-        action = action.strip().upper()
-    if action in event.allowed_actions:
-        return TacticalAction(action)
+    if raw.action in event.allowed_actions:
+        return TacticalAction(raw.action)
     return FallbackSignal("out_of_whitelist")
+
+
+def cascade_post_deposit(
+    fidelity: bool, density: int, pheromones_active: int,
+    params: CpfaParams, rng: np.random.Generator,
+) -> TacticalAction:
+    """Vanilla choice after a deposit: fidelity, then trails, then random."""
+    if fidelity and rng.uniform() < poisson_cdf(density, params.lambda_f):
+        return TacticalAction.USE_SITE_FIDELITY
+    if pheromones_active > 0:
+        return TacticalAction.FOLLOW_PHEROMONE
+    return TacticalAction.UNINFORMED_SEARCH
+
+
+def cascade_central_arrival(pheromones_active: int) -> TacticalAction:
+    """Two-way cascade after an empty-handed return (fidelity flag was
+    cleared on give-up, so that branch is disabled)."""
+    if pheromones_active > 0:
+        return TacticalAction.FOLLOW_PHEROMONE
+    return TacticalAction.UNINFORMED_SEARCH
+
+
+def should_give_up(params: CpfaParams, rng: np.random.Generator) -> bool:
+    return rng.uniform() < params.p_r
 
 
 def fallback_decide(
     event: DecisionEvent, params: CpfaParams, rng: np.random.Generator
 ) -> TacticalAction:
     """The cascade choice for an event whose primary policy failed."""
-    from . import cpfa  # deferred: cpfa imports this module for the action types
-
     if event.event_type is EventType.SEARCH_STARVATION:
-        if cpfa.should_give_up(params, rng):
+        if should_give_up(params, rng):
             return TacticalAction.RETURN_FOR_INFO
         return TacticalAction.CONTINUE_SEARCH
     if event.event_type is EventType.POST_DEPOSIT_DECISION:
-        return cpfa.cascade_post_deposit(
-            cpfa.ForagerMemory(
-                last_pickup_location=event.last_pickup_location,
-                last_density=event.resource_density,
-                fidelity_flag=event.last_pickup_location is not None,
-            ),
-            event.active_pheromone_count,
-            params,
-            rng,
+        return cascade_post_deposit(
+            event.last_pickup_location is not None, event.resource_density,
+            event.active_pheromone_count, params, rng,
         )
-    return cpfa.cascade_central_arrival(
-        cpfa.ForagerMemory(
-            last_pickup_location=event.last_pickup_location,
-            last_density=event.resource_density,
-            fidelity_flag=False,
-        ),
-        event.active_pheromone_count,
-        params,
-        rng,
-    )
+    return cascade_central_arrival(event.active_pheromone_count)
 
 
 def scripted_decide(event: DecisionEvent) -> DecisionResponse:
@@ -274,76 +277,3 @@ class FixedActionPolicy(DecisionPolicy):
         validated = validate(DecisionResponse(action.value, ""), event)
         assert isinstance(validated, TacticalAction)
         return PolicyDecision(action=validated, source="scripted", rationale="fixed policy")
-
-
-class LlmPolicy(DecisionPolicy):
-    """Queries an LLM endpoint through the gateway; cascade on failure."""
-
-    name = "llm"
-
-    def __init__(self, client, params: CpfaParams, rng: np.random.Generator, lenient: bool = False):
-        self.client = client
-        self.params = params
-        self.rng = rng
-        self.lenient = lenient
-
-    def decide(self, event: DecisionEvent) -> PolicyDecision:
-        from .gateway import build_prompt, parse_response  # deferred: gateway imports this module
-
-        request = build_prompt(event)
-        result = self.client.call(request)
-        if result.error is not None:
-            raw: DecisionResponse | FallbackSignal = FallbackSignal("timeout")
-        else:
-            raw = parse_response(result.body)
-        validated = validate(raw, event, lenient=self.lenient)
-        if isinstance(validated, FallbackSignal):
-            outcome = validated.reason
-            action = fallback_decide(event, self.params, self.rng)
-            decision = PolicyDecision(
-                action=action,
-                source="fallback",
-                fallback_reason=validated.reason,
-                llm_call=True,
-                latency=result.latency,
-                request_body=request,
-                response_body=result.body,
-            )
-        else:
-            outcome = "ok"
-            assert isinstance(raw, DecisionResponse)
-            decision = PolicyDecision(
-                action=validated,
-                source="llm",
-                rationale=raw.rationale,
-                llm_call=True,
-                latency=result.latency,
-                request_body=request,
-                response_body=result.body,
-            )
-        self.client.finish_call(event, request, result, outcome)
-        return decision
-
-
-POLICY_NAMES = ("cascade", "scripted", "uninformed", "llm")
-
-
-def make_policy(
-    selector: str,
-    params: CpfaParams,
-    rng: np.random.Generator,
-    client=None,
-    lenient: bool = False,
-) -> DecisionPolicy:
-    """Build the policy named by ``selector`` for one robot."""
-    if selector == "cascade":
-        return CascadePolicy(params, rng)
-    if selector == "scripted":
-        return ScriptedPolicy()
-    if selector == "uninformed":
-        return FixedActionPolicy()
-    if selector == "llm":
-        if client is None:
-            raise ValueError("llm policy requires a gateway client")
-        return LlmPolicy(client, params, rng, lenient=lenient)
-    raise ValueError(f"unknown policy {selector!r}; expected one of {POLICY_NAMES}")

@@ -38,9 +38,6 @@ class GaConfig:
     mutation_gene_prob: float = 0.1
     mutation_sigma_frac: float = 0.1
     elitism: int = 1
-    # Table-style "exp(k)" read as Exponential with rate k (mean 1/k);
-    # set False to read k as the mean instead.
-    exp_as_rate: bool = True
 
     def __post_init__(self):
         if min(self.population, self.generations, self.trials_per_genome) < 1:
@@ -60,17 +57,19 @@ class GaConfig:
         )
 
 
-def sample_genome(rng: np.random.Generator, exp_as_rate: bool = True) -> CpfaParams:
-    """One genome drawn from the published sampling ranges."""
-    rate_i, rate_d = (5.0, 10.0) if exp_as_rate else (1.0 / 5.0, 1.0 / 10.0)
+def sample_genome(rng: np.random.Generator) -> CpfaParams:
+    """One genome drawn from the published sampling ranges.
+
+    The table's "exp(k)" genes are Exponential with rate k (mean 1/k).
+    """
     return CpfaParams(
         p_s=rng.uniform(0.0, 1.0),
         p_r=rng.uniform(0.0, 1.0),
         rho_u=rng.uniform(*PARAM_RANGES["rho_u"]),
-        lambda_i=min(rng.exponential(1.0 / rate_i), EXP_GENE_CAP),
+        lambda_i=min(rng.exponential(1.0 / 5.0), EXP_GENE_CAP),
         lambda_f=rng.uniform(0.0, 20.0),
         lambda_lp=rng.uniform(0.0, 20.0),
-        lambda_d=min(rng.exponential(1.0 / rate_d), EXP_GENE_CAP),
+        lambda_d=min(rng.exponential(1.0 / 10.0), EXP_GENE_CAP),
     )
 
 
@@ -157,7 +156,7 @@ def ga_run(config: GaConfig) -> tuple[CpfaParams, list[GenerationStats]]:
         return evaluate(genome, config, seeds=seeds, pool=pool)
 
     try:
-        population = [sample_genome(rng, config.exp_as_rate) for _ in range(config.population)]
+        population = [sample_genome(rng) for _ in range(config.population)]
         fitnesses = [evaluate_new(g) for g in population]
         history: list[GenerationStats] = []
         best_genome, best_fitness = None, -1.0

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from swarmforage.core import Arena, DEFAULT_PARAMS, CpfaParams, derive_seed, poisson_cdf
-from swarmforage.cpfa import ForagerMemory, cascade_post_deposit
 from swarmforage.engine import TrialConfig, World, run_trial
 from swarmforage.gateway import GatewayConfig
 from swarmforage.harness import ARENA_RESOURCES, GridSpec, expand_grid, run_grid
@@ -27,7 +26,7 @@ from swarmforage.layouts import (
     generate,
     powerlaw_schedule,
 )
-from swarmforage.policy import TacticalAction
+from swarmforage.policy import TacticalAction, cascade_post_deposit
 from swarmforage.tuner import GaConfig, ga_cost, ga_run
 
 from conftest import single_linkage_labels
@@ -175,10 +174,8 @@ def test_criterion_08_cascade_statistics():
         n = 100_000
         for c, lam in ((10, 20.0), (2, 1.0), (0, 1.0), (5, 5.0), (3, 8.0)):
             params = CpfaParams(**{**DEFAULT_PARAMS.as_dict(), "lambda_f": lam})
-            mem = ForagerMemory(last_pickup_location=(1.0, 1.0), last_density=c,
-                                fidelity_flag=True)
             hits = sum(
-                cascade_post_deposit(mem, 0, params, rng) is TacticalAction.USE_SITE_FIDELITY
+                cascade_post_deposit(True, c, 0, params, rng) is TacticalAction.USE_SITE_FIDELITY
                 for _ in range(n)
             )
             p = poisson_cdf(c, lam)
@@ -288,7 +285,7 @@ def _initial_population_median(config: GaConfig) -> float:
     from swarmforage.tuner import _trial_seeds, evaluate, sample_genome
 
     rng = np.random.default_rng(derive_seed(config.master_seed, "ga"))
-    population = [sample_genome(rng, config.exp_as_rate) for _ in range(config.population)]
+    population = [sample_genome(rng) for _ in range(config.population)]
     fitnesses = [
         evaluate(genome, config, seeds=_trial_seeds(config, index))
         for index, genome in enumerate(population)

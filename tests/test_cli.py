@@ -67,6 +67,16 @@ class TestGaTrain:
         assert params is not None
         assert history.read_text().startswith("generation,")
 
+    def test_non_standard_arena_needs_count(self, tmp_path, capsys):
+        # ga-train and run-trial refuse a non-standard arena without --count alike
+        code = main(["ga-train", "--arena", "7", "--out", str(tmp_path / "best.txt")])
+        ga_err = capsys.readouterr().err
+        assert code == 1
+        assert "--count is required" in ga_err
+        assert main(["run-trial", "--arena", "7", "--duration", "1"]) == 1
+        assert capsys.readouterr().err == ga_err
+        assert not (tmp_path / "best.txt").exists()
+
     def test_params_file_feeds_run_trial(self, tmp_path, capsys):
         params_file = tmp_path / "params.txt"
         save_params(DEFAULT_PARAMS, params_file)

@@ -5,20 +5,25 @@ import pytest
 
 from swarmforage.core import Arena, CpfaParams, DEFAULT_PARAMS, SIGMA_MAX, poisson_cdf
 from swarmforage.cpfa import (
-    ForagerMemory,
     SEARCH_STARVATION_AFTER_S,
     SEARCH_STARVATION_EVERY_S,
-    cascade_central_arrival,
-    cascade_post_deposit,
     informed_sigma,
-    should_give_up,
     should_lay_pheromone,
     should_switch_to_search,
     uninformed_step_heading,
 )
 from swarmforage.engine import TrialConfig, World, run_trial
 from swarmforage.layouts import Distribution, LayoutSpec
-from swarmforage.policy import TacticalAction
+from swarmforage.policy import (
+    DecisionEvent,
+    EventType,
+    TacticalAction,
+    build_whitelist,
+    cascade_central_arrival,
+    cascade_post_deposit,
+    fallback_decide,
+    should_give_up,
+)
 
 
 def params_with(**overrides):
@@ -82,9 +87,8 @@ class TestWalkMath:
 
 class TestCascades:
     def test_post_deposit_no_options(self):
-        mem = ForagerMemory(fidelity_flag=False)
         rng = np.random.default_rng(0)
-        action = cascade_post_deposit(mem, 0, DEFAULT_PARAMS, rng)
+        action = cascade_post_deposit(False, 0, 0, DEFAULT_PARAMS, rng)
         assert action is TacticalAction.UNINFORMED_SEARCH
 
     def test_post_deposit_site_fidelity_frequency(self):
@@ -94,9 +98,8 @@ class TestCascades:
         n = 100_000
         for c, lam in cases:
             params = params_with(lambda_f=lam)
-            mem = ForagerMemory(last_pickup_location=(1.0, 1.0), last_density=c, fidelity_flag=True)
             hits = sum(
-                cascade_post_deposit(mem, 0, params, rng) is TacticalAction.USE_SITE_FIDELITY
+                cascade_post_deposit(True, c, 0, params, rng) is TacticalAction.USE_SITE_FIDELITY
                 for _ in range(n)
             )
             p = poisson_cdf(c, lam)
@@ -105,30 +108,33 @@ class TestCascades:
 
     def test_post_deposit_near_certain_fidelity(self):
         params = params_with(lambda_f=1.0)
-        mem = ForagerMemory(last_pickup_location=(1.0, 1.0), last_density=10, fidelity_flag=True)
         rng = np.random.default_rng(5)
         assert poisson_cdf(10, 1.0) >= 0.995
         hits = sum(
-            cascade_post_deposit(mem, 3, params, rng) is TacticalAction.USE_SITE_FIDELITY
+            cascade_post_deposit(True, 10, 3, params, rng) is TacticalAction.USE_SITE_FIDELITY
             for _ in range(2000)
         )
         assert hits / 2000 >= 0.99
 
     def test_post_deposit_prefers_pheromone_over_random(self):
-        mem = ForagerMemory(fidelity_flag=False)
         rng = np.random.default_rng(0)
-        assert cascade_post_deposit(mem, 3, DEFAULT_PARAMS, rng) is TacticalAction.FOLLOW_PHEROMONE
+        assert cascade_post_deposit(False, 0, 3, DEFAULT_PARAMS, rng) is TacticalAction.FOLLOW_PHEROMONE
 
     def test_central_arrival_two_way(self):
-        rng = np.random.default_rng(0)
-        mem = ForagerMemory(fidelity_flag=False)
-        assert cascade_central_arrival(mem, 0, DEFAULT_PARAMS, rng) is TacticalAction.UNINFORMED_SEARCH
-        assert cascade_central_arrival(mem, 2, DEFAULT_PARAMS, rng) is TacticalAction.FOLLOW_PHEROMONE
+        assert cascade_central_arrival(0) is TacticalAction.UNINFORMED_SEARCH
+        assert cascade_central_arrival(2) is TacticalAction.FOLLOW_PHEROMONE
 
     def test_central_arrival_ignores_fidelity_flag(self):
+        # a remembered dense site does not reopen the fidelity branch
         rng = np.random.default_rng(0)
-        mem = ForagerMemory(last_pickup_location=(1.0, 1.0), last_density=9, fidelity_flag=True)
-        assert cascade_central_arrival(mem, 0, DEFAULT_PARAMS, rng) is TacticalAction.UNINFORMED_SEARCH
+        event = DecisionEvent(
+            robot_id="r0", event_type=EventType.CENTRAL_ZONE_ARRIVAL,
+            current_state="RETURNING_EMPTY", sim_time_sec=90.0, position=(0.2, 0.1),
+            resource_density=9, time_since_last_pickup=80.0, last_pickup_location=(1.0, 1.0),
+            active_pheromone_count=0,
+            allowed_actions=tuple(build_whitelist(EventType.CENTRAL_ZONE_ARRIVAL)),
+        )
+        assert fallback_decide(event, DEFAULT_PARAMS, rng) is TacticalAction.UNINFORMED_SEARCH
 
 
 class TestStochasticChecks:

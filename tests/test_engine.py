@@ -4,17 +4,8 @@ import numpy as np
 import pytest
 
 from swarmforage.core import Arena, DEFAULT_PARAMS, CpfaParams
-from swarmforage.engine import (
-    MotionLimits,
-    PheromoneManager,
-    RobotPose,
-    TrialConfig,
-    World,
-    apply_yield,
-    move_toward,
-    run_trial,
-    wrap_angle,
-)
+from swarmforage.engine import PheromoneManager, TrialConfig, World, run_trial
+from swarmforage.kinematics import MotionLimits, RobotPose, apply_yield, move_toward, wrap_angle
 from swarmforage.layouts import Distribution, LayoutSpec, ResourceField
 
 LIMITS = MotionLimits()
@@ -94,10 +85,7 @@ class TestPickupDeposit:
         world = self.make_world([[2.0, 2.0]])
         robot = world.robots[0]
         robot.pose.x, robot.pose.y = 2.1, 2.0
-        event = world.try_pickup(robot)
-        assert event is not None
-        assert event.location == (2.0, 2.0)
-        assert event.density == 0
+        assert world.try_pickup(robot) == ((2.0, 2.0), 0)
         assert world.resources.remaining() == 0
 
     def test_cluster_pickup_counts_remaining_neighbors(self):
@@ -105,26 +93,23 @@ class TestPickupDeposit:
         world = self.make_world([[2.0, 2.0], [2.2, 2.0], [2.0, 2.2], [2.3, 2.3], [4.0, 4.0]])
         robot = world.robots[0]
         robot.pose.x, robot.pose.y = 2.05, 2.0
-        event = world.try_pickup(robot)
-        assert event.location == (2.0, 2.0)
-        assert event.density == 3
+        assert world.try_pickup(robot) == ((2.0, 2.0), 3)
 
     def test_nearest_is_taken(self):
         world = self.make_world([[2.0, 2.0], [2.1, 2.0]])
         robot = world.robots[0]
         robot.pose.x, robot.pose.y = 2.12, 2.0
-        event = world.try_pickup(robot)
-        assert event.location == (2.1, 2.0)
+        location, _density = world.try_pickup(robot)
+        assert location == (2.1, 2.0)
 
     def test_deposit_requires_zone(self):
         world = self.make_world([[2.0, 2.0]])
         robot = world.robots[0]
         robot.carrying = True
         robot.pose.x, robot.pose.y = 2.9, 2.9
-        assert world.try_deposit(robot) is None
+        assert world.try_deposit(robot) is False
         robot.pose.x, robot.pose.y = 0.1, 0.0
-        event = world.try_deposit(robot)
-        assert event is not None
+        assert world.try_deposit(robot) is True
         assert world.deposits == 1
         assert not robot.carrying
 
@@ -218,15 +203,6 @@ class TestPheromoneManager:
         frac_fresh = sum(1 for p in picks if p == 2.0) / len(picks)
         expected = 1.0 / (1.0 + math.exp(-2.0))
         assert abs(frac_fresh - expected) < 0.04
-
-    def test_uniform_mode(self):
-        manager = PheromoneManager(decay_rate=0.1, selection="uniform")
-        manager.add((1.0, 0.0), now=0.0, owner="r0")
-        manager.add((2.0, 0.0), now=20.0, owner="r1")
-        rng = np.random.default_rng(0)
-        picks = [manager.select(20.0, rng).location[0] for _ in range(2000)]
-        frac_fresh = sum(1 for p in picks if p == 2.0) / len(picks)
-        assert abs(frac_fresh - 0.5) < 0.04
 
     def test_summary_cap_and_order(self):
         manager = PheromoneManager(decay_rate=0.1)

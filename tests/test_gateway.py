@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -201,6 +203,28 @@ class TestMockServer:
             assert result.latency <= config.timeout + 1.0
         finally:
             server.stop()
+
+    def test_reply_after_client_timeout_closes_cleanly(self, monkeypatch):
+        # the handler's late reply meets a closed socket; it must not raise
+        server = MockLlmServer(behavior="always_timeout", port=0, hang_seconds=0.3).start()
+        httpd = server._httpd
+        errors, finished = [], threading.Event()
+        close_request = httpd.shutdown_request
+
+        def shutdown_request(request):
+            close_request(request)
+            finished.set()
+
+        monkeypatch.setattr(httpd, "handle_error",
+                            lambda request, address: errors.append(sys.exc_info()[1]))
+        monkeypatch.setattr(httpd, "shutdown_request", shutdown_request)
+        try:
+            config = GatewayConfig(mode="live", base_url=server.base_url, timeout=0.05)
+            assert LlmClient(config).call(build_prompt(sample_event())).error == "timeout"
+            assert finished.wait(5.0), "handler never finished"
+        finally:
+            server.stop()
+        assert errors == []
 
     def test_connection_refused_is_failure_token(self):
         config = GatewayConfig(mode="live", base_url="http://127.0.0.1:1/v1", timeout=1.0)

@@ -58,13 +58,6 @@ class TestExpandGrid:
             assert len(layout_seeds) == 1          # same world
             assert len(behavior_seeds) == len(configs)  # different behaviour
 
-    def test_unpaired_seeds_differ(self):
-        jobs = expand_grid(tiny_spec(paired_seeds=False))
-        by_trial = {}
-        for job in jobs:
-            by_trial.setdefault((job.cell, job.trial_index), set()).add(job.config.layout.seed)
-        assert any(len(s) > 1 for s in by_trial.values())
-
     def test_keys_unique(self):
         jobs = expand_grid(tiny_spec())
         keys = [j.key for j in jobs]

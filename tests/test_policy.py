@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swarmforage.core import DEFAULT_PARAMS, CpfaParams
+from swarmforage.engine import make_policy
 from swarmforage.policy import (
     CascadePolicy,
     DecisionEvent,
@@ -15,7 +16,6 @@ from swarmforage.policy import (
     TacticalAction,
     build_whitelist,
     fallback_decide,
-    make_policy,
     scripted_decide,
     validate,
 )
@@ -78,10 +78,6 @@ class TestValidate:
     def test_case_sensitive_by_default(self):
         out = validate(DecisionResponse("use_site_fidelity", "?"), make_event())
         assert out == FallbackSignal("out_of_whitelist")
-
-    def test_lenient_mode_repairs_case(self):
-        out = validate(DecisionResponse(" use_site_fidelity ", "?"), make_event(), lenient=True)
-        assert out is TacticalAction.USE_SITE_FIDELITY
 
     def test_passes_through_gateway_failures(self):
         out = validate(FallbackSignal("timeout"), make_event())

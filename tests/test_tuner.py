@@ -71,11 +71,6 @@ class TestSampling:
         assert abs(np.mean([g.lambda_d for g in samples]) - 0.1) / 0.1 < 0.1
         assert abs(np.mean([g.lambda_i for g in samples]) - 0.2) / 0.2 < 0.1
 
-    def test_exp_as_mean_switch(self):
-        rng = np.random.default_rng(3)
-        samples = [sample_genome(rng, exp_as_rate=False) for _ in range(5000)]
-        assert np.mean([g.lambda_d for g in samples]) > 5.0
-
 
 class TestOperators:
     def test_crossover_mixes_genes(self):
