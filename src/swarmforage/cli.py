@@ -14,7 +14,7 @@ import sys
 import time
 
 from .core import Arena, DEFAULT_PARAMS, load_params, save_params
-from .engine import TrialConfig, run_trial
+from .engine import POLICY_NAMES, TrialConfig, run_trial
 from .gateway import MODES, REASONING_EFFORTS, GatewayConfig, mock_serve
 from .harness import (
     GridSpec,
@@ -118,11 +118,8 @@ def _cmd_run_trial(args) -> int:
     return 0
 
 
-def _cmd_ga_train(args) -> int:
-    count = _resource_count(args)
-    if count is None:
-        return 1
-    config = GaConfig(
+def _ga_config(args, count: int) -> GaConfig:
+    return GaConfig(
         population=args.population,
         generations=args.generations,
         trials_per_genome=args.trials,
@@ -134,6 +131,13 @@ def _cmd_ga_train(args) -> int:
         master_seed=args.seed,
         workers=args.workers,
     )
+
+
+def _cmd_ga_train(args) -> int:
+    count = _resource_count(args)
+    if count is None:
+        return 1
+    config = _ga_config(args, count)
     start = time.time()
     best, history = ga_run(config)
     save_params(best, args.out)
@@ -214,7 +218,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_mock_llm_serve(args) -> int:
-    server = mock_serve(args.behavior, port=args.port, cassette_path=args.cassette)
+    server = mock_serve(args.behavior, port=args.port)
     print(f"mock endpoint ({args.behavior}) listening on {server.base_url}")
     try:
         while True:
@@ -243,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", default="clustered", choices=[d.value for d in Distribution])
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--params", default=None, help="parameter file (ga-train output)")
-    p.add_argument("--policy", default="cascade")
-    p.add_argument("--duration", type=float, default=1200.0)
+    # a dataclass keeps each field's plain default as a class attribute
+    p.add_argument("--policy", default=TrialConfig.policy, choices=POLICY_NAMES)
+    p.add_argument("--duration", type=float, default=TrialConfig.duration)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layout-seed", type=int, default=None)
     p.add_argument("--layout-file", default=None, help="reuse a generated layout file")
@@ -252,17 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gateway_args(p)
     p.set_defaults(func=_cmd_run_trial)
 
+    ga = GaConfig()
     p = sub.add_parser("ga-train", help="tune the seven parameters with the GA")
-    p.add_argument("--population", type=int, default=10)
-    p.add_argument("--generations", type=int, default=30)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--duration", type=float, default=720.0)
-    p.add_argument("--team", type=int, default=6)
-    p.add_argument("--arena", type=float, default=8.0)
-    p.add_argument("--dist", default="powerlaw", choices=[d.value for d in Distribution])
+    p.add_argument("--population", type=int, default=ga.population)
+    p.add_argument("--generations", type=int, default=ga.generations)
+    p.add_argument("--trials", type=int, default=ga.trials_per_genome)
+    p.add_argument("--duration", type=float, default=ga.eval_duration)
+    p.add_argument("--team", type=int, default=ga.team_size)
+    p.add_argument("--arena", type=float, default=ga.arena_side)
+    p.add_argument("--dist", default=ga.distribution.value,
+                   choices=[d.value for d in Distribution])
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=int, default=ga.master_seed)
+    p.add_argument("--workers", type=int, default=ga.workers)
     p.add_argument("--out", required=True, help="best-genome parameter file")
     p.add_argument("--history", default=None, help="per-generation CSV")
     p.set_defaults(func=_cmd_ga_train)
@@ -286,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mock-llm-serve", help="serve a local mock decision endpoint")
     p.add_argument("--behavior", default="scripted")
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--cassette", default=None)
     p.set_defaults(func=_cmd_mock_llm_serve)
 
     return parser

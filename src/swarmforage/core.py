@@ -16,9 +16,8 @@ import numpy as np
 
 SIGMA_MAX = 4.0 * math.pi
 
-# Pheromone waypoints below this strength are considered expired.
+# Pheromone waypoints start at strength 1 and expire below this strength.
 PHEROMONE_EXPIRY_THRESHOLD = 1e-3
-PHEROMONE_INITIAL_STRENGTH = 1.0
 
 # Sampling ranges for the seven controller parameters, also used as
 # clamp bounds by the GA operators.  The two decay rates are drawn from
@@ -94,7 +93,6 @@ class Arena:
     """Square arena centred on the origin with a central collection zone."""
 
     half_width: float
-    half_height: float
     center_zone_radius: float = 0.5
 
     def __post_init__(self):
@@ -102,11 +100,11 @@ class Arena:
             raise ValueError("center zone must fit inside the arena")
 
     @classmethod
-    def square(cls, side: float, center_zone_radius: float = 0.5) -> "Arena":
-        return cls(side / 2.0, side / 2.0, center_zone_radius)
+    def square(cls, side: float) -> "Arena":
+        return cls(side / 2.0)
 
     def contains(self, x: float, y: float) -> bool:
-        return abs(x) <= self.half_width and abs(y) <= self.half_height
+        return abs(x) <= self.half_width and abs(y) <= self.half_width
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,6 @@ class PheromoneWaypoint:
 
     location: tuple[float, float]
     created_at: float
-    owner_robot: str
-    initial_strength: float = PHEROMONE_INITIAL_STRENGTH
 
 
 def poisson_cdf(c: float, lam: float) -> float:
@@ -143,19 +139,7 @@ def pheromone_strength(waypoint: PheromoneWaypoint, now: float, decay_rate: floa
     age = now - waypoint.created_at
     if age < 0:
         raise ValueError(f"waypoint created at {waypoint.created_at} queried at {now}")
-    return waypoint.initial_strength * math.exp(-decay_rate * age)
-
-
-def prune_pheromones(
-    field: list[PheromoneWaypoint],
-    now: float,
-    decay_rate: float,
-    threshold: float = PHEROMONE_EXPIRY_THRESHOLD,
-) -> list[PheromoneWaypoint]:
-    """Waypoints still at or above ``threshold`` strength, order preserved."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return [w for w in field if pheromone_strength(w, now, decay_rate) >= threshold]
+    return math.exp(-decay_rate * age)
 
 
 def derive_seed(master_seed: int, *names) -> int:
@@ -193,9 +177,6 @@ class RngStreams:
 
     def policy(self, robot_index: int) -> np.random.Generator:
         return self.stream(f"policy/{robot_index}")
-
-    def layout(self) -> np.random.Generator:
-        return self.stream("layout")
 
 
 def load_params(path) -> CpfaParams:

@@ -326,7 +326,7 @@ def _handle_deposit(robot: Robot, world, policy) -> None:
     world.try_deposit(robot)
     mem = robot.memory
     if mem.fidelity_flag and should_lay_pheromone(mem.last_density, robot.params, robot.rng):
-        world.pheromones.add(mem.last_pickup_location, world.t, robot.robot_id)
+        world.pheromones.add(mem.last_pickup_location, world.t)
         world.log(robot, "PHEROMONE", {
             "location": [mem.last_pickup_location[0], mem.last_pickup_location[1]],
             "density": mem.last_density,

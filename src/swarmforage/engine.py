@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from .core import (
     PheromoneWaypoint,
     RngStreams,
     pheromone_strength,
-    prune_pheromones,
 )
 from .cpfa import Robot
 from .gateway import GatewayConfig, LlmClient, LlmPolicy
@@ -51,7 +50,6 @@ class TrialConfig:
     policy: str = "cascade"
     duration: float = 1200.0
     seed: int = 0
-    limits: MotionLimits = field(default_factory=MotionLimits)
     gateway: Optional[GatewayConfig] = None  # required when policy == "llm"
 
     def __post_init__(self):
@@ -84,38 +82,38 @@ class TrialResult:
 
 class PheromoneManager:
     """The shared pheromone field: deposit, decay, prune, and select in
-    proportion to strength."""
+    proportion to strength.
 
-    def __init__(self, decay_rate: float, threshold: float = PHEROMONE_EXPIRY_THRESHOLD):
+    ``World.step`` prunes at the time the next step reads, so every
+    waypoint a step sees is live and ``count`` and ``active`` need no
+    strength filter of their own.
+    """
+
+    def __init__(self, decay_rate: float):
         self.decay_rate = decay_rate
-        self.threshold = threshold
         self.waypoints: list[PheromoneWaypoint] = []
 
-    def add(self, location: tuple[float, float], now: float, owner: str) -> PheromoneWaypoint:
-        wp = PheromoneWaypoint(location=location, created_at=now, owner_robot=owner)
+    def add(self, location: tuple[float, float], now: float) -> PheromoneWaypoint:
+        wp = PheromoneWaypoint(location=location, created_at=now)
         self.waypoints.append(wp)
         return wp
 
     def prune(self, now: float) -> None:
-        self.waypoints = prune_pheromones(self.waypoints, now, self.decay_rate, self.threshold)
+        """Drop waypoints decayed below the expiry threshold, order preserved."""
+        self.waypoints = [
+            w for w in self.waypoints
+            if pheromone_strength(w, now, self.decay_rate) >= PHEROMONE_EXPIRY_THRESHOLD
+        ]
 
     def count(self, now: float) -> int:
-        return sum(
-            1 for w in self.waypoints
-            if pheromone_strength(w, now, self.decay_rate) >= self.threshold
-        )
+        return len(self.waypoints)
 
     def active(self, now: float) -> list[tuple[PheromoneWaypoint, float]]:
-        pairs = []
-        for w in self.waypoints:
-            s = pheromone_strength(w, now, self.decay_rate)
-            if s >= self.threshold:
-                pairs.append((w, s))
-        return pairs
+        return [(w, pheromone_strength(w, now, self.decay_rate)) for w in self.waypoints]
 
-    def summary(self, now: float, cap: int = PHEROMONE_SUMMARY_CAP) -> tuple:
+    def summary(self, now: float) -> tuple:
         """Locations and strengths of the strongest waypoints, capped."""
-        pairs = sorted(self.active(now), key=lambda p: -p[1])[:cap]
+        pairs = sorted(self.active(now), key=lambda p: -p[1])[:PHEROMONE_SUMMARY_CAP]
         return tuple((w.location, s) for w, s in pairs)
 
     def select(self, now: float, rng: np.random.Generator) -> Optional[PheromoneWaypoint]:
@@ -135,7 +133,7 @@ class World:
         self.config = config
         self.arena = config.arena
         self.params = config.params
-        self.limits = config.limits
+        self.limits = MotionLimits()
         self.streams = RngStreams(config.seed)
         self.resources = resources if resources is not None else generate(config.layout)
         self.pheromones = PheromoneManager(decay_rate=config.params.lambda_d)
@@ -182,14 +180,14 @@ class World:
 
     def clamp_to_walls(self, x: float, y: float) -> tuple[float, float, bool]:
         cx = max(-self.arena.half_width, min(self.arena.half_width, x))
-        cy = max(-self.arena.half_height, min(self.arena.half_height, y))
+        cy = max(-self.arena.half_width, min(self.arena.half_width, y))
         return cx, cy, (cx != x or cy != y)
 
     def sample_arena_point(self, rng: np.random.Generator) -> tuple[float, float]:
         """Uniform point in the arena outside the central zone."""
         while True:
             x = rng.uniform(-self.arena.half_width, self.arena.half_width)
-            y = rng.uniform(-self.arena.half_height, self.arena.half_height)
+            y = rng.uniform(-self.arena.half_width, self.arena.half_width)
             if math.hypot(x, y) > self.arena.center_zone_radius:
                 return (x, y)
 
@@ -309,7 +307,7 @@ class World:
             "arrival_tolerance": lim.arrival_tolerance,
             "density_radius": lim.density_radius,
             "exclusion_radius": self.config.layout.keep_out,
-            "pheromone_threshold": self.pheromones.threshold,
+            "pheromone_threshold": PHEROMONE_EXPIRY_THRESHOLD,
             "params": self.params.as_dict(),
         }
 

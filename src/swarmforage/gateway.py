@@ -4,9 +4,9 @@ Talks to any OpenAI-compatible chat endpoint, with three offline modes:
 an in-process mock (no sockets at all), record (live calls appended to a
 cassette), and replay (cassette lookups, byte-faithful).  A small local
 HTTP server reproducing the endpoint shape is included for integration
-tests.  Every call is tracked as a CallRecord so trials can report call,
-fallback, and latency statistics.  ``LlmPolicy`` is the decision policy
-that speaks this protocol and falls back to the cascade on any failure.
+tests; it answers from a mock behaviour, and ``replay`` is the one way to
+answer from a cassette.  ``LlmPolicy`` is the decision policy that speaks
+this protocol and falls back to the cascade on any failure.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -46,7 +46,7 @@ SYSTEM_INSTRUCTION = (
 
 MODES = ("live", "mock", "replay", "record")
 REASONING_EFFORTS = ("low", "medium", "high")
-MOCK_BEHAVIORS = ("scripted", "always_invalid", "always_timeout", "echo_cassette")
+MOCK_BEHAVIORS = ("scripted", "always_invalid", "always_timeout")
 
 
 class CassetteMissError(FatalPolicyError):
@@ -89,18 +89,6 @@ class CallRecord:
     latency: float
     outcome: str  # ok | timeout | parse_error | out_of_whitelist
     prompt_version: str = PROMPT_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "robot_id": self.robot_id,
-            "event_type": self.event_type,
-            "request": self.request,
-            "response": self.response,
-            "error": self.error,
-            "latency": self.latency,
-            "outcome": self.outcome,
-            "prompt_version": self.prompt_version,
-        }
 
 
 @dataclass
@@ -204,10 +192,11 @@ class Cassette:
                     self._by_key.setdefault(key, []).append(record)
 
     def append(self, record: CallRecord) -> None:
+        doc = asdict(record)
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record.to_dict(), separators=(",", ":")) + "\n")
-            self._by_key.setdefault(request_key(record.request), []).append(record.to_dict())
+                fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+            self._by_key.setdefault(request_key(record.request), []).append(doc)
 
     def lookup(self, request: dict) -> dict:
         key = request_key(request)
@@ -230,7 +219,6 @@ class LlmClient:
 
     def __init__(self, config: GatewayConfig):
         self.config = config
-        self.records: list[CallRecord] = []
         self.cassette: Optional[Cassette] = None
         if config.mode in ("replay", "record"):
             self.cassette = Cassette(config.cassette_path)
@@ -251,21 +239,19 @@ class LlmClient:
         return self._http_call(request)
 
     def finish_call(self, event: DecisionEvent, request: dict, result: GatewayResult,
-                    outcome: str) -> CallRecord:
-        """Close the books on one call after validation decided its outcome."""
-        record = CallRecord(
-            robot_id=event.robot_id,
-            event_type=event.event_type.value,
-            request=request,
-            response=result.body,
-            error=result.error,
-            latency=result.latency,
-            outcome=outcome,
-        )
-        self.records.append(record)
+                    outcome: str) -> None:
+        """In record mode, append one call to the cassette once validation
+        decided its outcome."""
         if self.config.mode == "record":
-            self.cassette.append(record)
-        return record
+            self.cassette.append(CallRecord(
+                robot_id=event.robot_id,
+                event_type=event.event_type.value,
+                request=request,
+                response=result.body,
+                error=result.error,
+                latency=result.latency,
+                outcome=outcome,
+            ))
 
     def _http_call(self, request: dict) -> GatewayResult:
         cfg = self.config
@@ -348,11 +334,9 @@ class LlmPolicy(DecisionPolicy):
 class MockLlmServer:
     """Local OpenAI-shaped endpoint for integration tests and demos."""
 
-    def __init__(self, behavior: str = "scripted", port: int = 0,
-                 cassette_path: Optional[str] = None, hang_seconds: float = 3600.0):
+    def __init__(self, behavior: str = "scripted", port: int = 0, hang_seconds: float = 3600.0):
         if not (behavior in MOCK_BEHAVIORS or behavior.startswith("fixed:")):
             raise ValueError(f"unknown mock behavior {behavior!r}")
-        cassette = Cassette(cassette_path) if behavior == "echo_cassette" else None
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -366,8 +350,6 @@ class MockLlmServer:
                 if server.behavior == "always_timeout":
                     time.sleep(server.hang_seconds)
                     content = json.dumps({"action": "", "rationale": "too late"})
-                elif server.behavior == "echo_cassette":
-                    content = cassette.lookup(request)["response"]
                 else:
                     content = mock_content_for(server.behavior, request)
                 payload = json.dumps({"choices": [{"message": {"content": content}}]})

@@ -9,10 +9,11 @@ worlds; behavioural seeds differ per policy.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -63,6 +64,13 @@ class GridJob:
         team, side, dist = self.cell
         return f"{dist}-a{side:g}-t{team}-trial{self.trial_index}-{self.policy}"
 
+    @property
+    def config_hash(self) -> str:
+        """SHA-256 over every field of the job's TrialConfig."""
+        doc = asdict(self.config)
+        text = json.dumps(doc, sort_keys=True, default=lambda value: value.value)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 def standard_resource_count(side: float) -> int:
     """The standard resource count for an arena side length."""
@@ -104,6 +112,7 @@ def _job_row(job: GridJob, log_dir: str) -> dict:
     team, side, dist = job.cell
     return {
         "key": job.key,
+        "config_hash": job.config_hash,
         "status": "ok",
         "team_size": team,
         "arena": side,
@@ -126,30 +135,35 @@ def _run_job(job: GridJob, log_dir: str) -> dict:
 
 
 def load_store(out_dir: str) -> list[dict]:
+    """The store's rows, one per key: a later row supersedes an earlier
+    one, so a retried error or a re-run of a changed config counts once."""
     path = os.path.join(out_dir, RESULTS_FILE)
-    rows = []
+    rows: dict[str, dict] = {}
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line:
-                    rows.append(json.loads(line))
-    return rows
+                    row = json.loads(line)
+                    rows[row["key"]] = row
+    return list(rows.values())
 
 
 def run_grid(spec: GridSpec, out_dir: str, parallelism: int = 1,
              progress=None) -> list[dict]:
     """Run all grid jobs, appending rows as they finish; resumable.
 
-    Completed keys are never re-executed; error rows are retried on
-    resume.  Returns all rows in the store after the run.
+    A job is skipped only when the store's row for its key is ok and was
+    run from the same config; error rows and rows of a changed config are
+    re-run.  Returns the store's rows after the run, one per key.
     """
     os.makedirs(out_dir, exist_ok=True)
     log_dir = os.path.join(out_dir, LOGS_DIR)
     os.makedirs(log_dir, exist_ok=True)
 
-    done = {row["key"] for row in load_store(out_dir) if row.get("status") == "ok"}
-    jobs = [job for job in expand_grid(spec) if job.key not in done]
+    done = {row["key"]: row.get("config_hash")
+            for row in load_store(out_dir) if row.get("status") == "ok"}
+    jobs = [job for job in expand_grid(spec) if done.get(job.key) != job.config_hash]
 
     results_path = os.path.join(out_dir, RESULTS_FILE)
     with open(results_path, "a", encoding="utf-8") as out:
@@ -178,8 +192,6 @@ class SummaryRow:
     candidate_mean: float
     baseline_median: float
     candidate_median: float
-    baseline_quartiles: tuple
-    candidate_quartiles: tuple
     absolute_gain: float
     relative_improvement: Optional[float]  # None when the baseline mean is 0
     candidate_wins: bool
@@ -237,8 +249,6 @@ def summarize(rows: list[dict], baseline: str, candidate: str) -> Summary:
             candidate_mean=cand_mean,
             baseline_median=float(np.median(base)),
             candidate_median=float(np.median(cand)),
-            baseline_quartiles=(float(np.percentile(base, 25)), float(np.percentile(base, 75))),
-            candidate_quartiles=(float(np.percentile(cand, 25)), float(np.percentile(cand, 75))),
             absolute_gain=gain,
             relative_improvement=rel,
             candidate_wins=cand_mean > base_mean,

@@ -47,18 +47,13 @@ class LayoutSpec:
     arena: Arena
     seed: int
     min_spacing: float = RANDOM_MIN_SPACING
-    exclusion_radius: float | None = None
 
     def __post_init__(self):
         if self.resource_count < 0:
             raise ValueError("resource_count must be nonnegative")
-        if self.exclusion_radius is not None and self.exclusion_radius < self.arena.center_zone_radius:
-            raise ValueError("exclusion_radius must cover the central zone")
 
     @property
     def keep_out(self) -> float:
-        if self.exclusion_radius is not None:
-            return self.exclusion_radius
         return self.arena.center_zone_radius + EXCLUSION_MARGIN
 
 
@@ -85,8 +80,7 @@ def _admissible(points: np.ndarray, spec: LayoutSpec) -> bool:
     """All points inside the walls and outside the central keep-out disc."""
     if len(points) == 0:
         return True
-    arena = spec.arena
-    if np.any(np.abs(points[:, 0]) > arena.half_width) or np.any(np.abs(points[:, 1]) > arena.half_height):
+    if np.any(np.abs(points) > spec.arena.half_width):
         return False
     return bool(np.all(np.hypot(points[:, 0], points[:, 1]) > spec.keep_out))
 
@@ -101,7 +95,7 @@ def gen_random(spec: LayoutSpec) -> ResourceField:
     for _ in range(spec.resource_count):
         for attempt in range(MAX_POINT_ATTEMPTS):
             x = rng.uniform(-arena.half_width, arena.half_width)
-            y = rng.uniform(-arena.half_height, arena.half_height)
+            y = rng.uniform(-arena.half_width, arena.half_width)
             if math.hypot(x, y) <= spec.keep_out:
                 continue
             if placed:
@@ -160,7 +154,7 @@ def _place_clusters(spec: LayoutSpec, sizes: list[int], rng: np.random.Generator
             radius = _cluster_radius(size)
             for attempt in range(MAX_ANCHOR_ATTEMPTS):
                 ax = rng.uniform(-arena.half_width, arena.half_width)
-                ay = rng.uniform(-arena.half_height, arena.half_height)
+                ay = rng.uniform(-arena.half_width, arena.half_width)
                 points = offsets + (ax, ay)
                 if not _admissible(points, spec):
                     continue
@@ -199,39 +193,33 @@ def gen_clustered(spec: LayoutSpec) -> ResourceField:
     return _place_clusters(spec, sizes, rng)
 
 
-def powerlaw_schedule(count: int, rank_base: int = 4) -> list[tuple[int, int]]:
+def powerlaw_schedule(count: int) -> list[tuple[int, int]]:
     """Cluster schedule for the powerlaw layout as (clusters, size) rows.
 
-    Rank r holds rank_base**r clusters; the top rank is one dense pile of
-    a quarter of the stock, the bottom rank is singles, and the middle
-    rank absorbs the remainder evenly.  count=64 -> [(1,16), (4,8), (16,1)].
+    Rank r holds 4**r clusters; the top rank is one dense pile of a
+    quarter of the stock, the bottom rank is singles, and the middle rank
+    absorbs the remainder evenly.  count=64 -> [(1,16), (4,8), (16,1)].
     """
     if count == 0:
         return []
-    counts = [rank_base**r for r in range(3)]
-    top = count // rank_base
-    singles = counts[2]
-    mid_total = count - top - singles
-    if top < 1 or mid_total < counts[1] or mid_total % counts[1] != 0:
-        raise LayoutError(f"count {count} not expressible by the rank-{rank_base} schedule")
-    mid = mid_total // counts[1]
-    schedule = [(counts[0], top), (counts[1], mid), (counts[2], 1)]
+    top = count // 4
+    mid_total = count - top - 16
+    if top < 1 or mid_total < 4 or mid_total % 4 != 0:
+        raise LayoutError(f"count {count} not expressible by the rank-4 schedule")
+    mid = mid_total // 4
+    schedule = [(1, top), (4, mid), (16, 1)]
     if not top > mid > 1:
         raise LayoutError(f"count {count} yields a non-decaying schedule {schedule}")
     assert sum(n * s for n, s in schedule) == count
     return schedule
 
 
-def gen_powerlaw(spec: LayoutSpec, schedule: list[tuple[int, int]] | None = None) -> ResourceField:
+def gen_powerlaw(spec: LayoutSpec) -> ResourceField:
     """Heavy-tailed mixture of dense piles and scattered singles."""
     if spec.distribution is not Distribution.POWERLAW:
         raise ValueError("spec.distribution must be POWERLAW")
-    if schedule is None:
-        schedule = powerlaw_schedule(spec.resource_count)
-    total = sum(n * s for n, s in schedule)
-    if total != spec.resource_count:
-        raise LayoutError(f"schedule sums to {total}, expected {spec.resource_count}")
-    if total == 0:
+    schedule = powerlaw_schedule(spec.resource_count)
+    if not schedule:
         return ResourceField.from_positions(np.zeros((0, 2)))
     rng = np.random.default_rng(derive_seed(spec.seed, "layout", "powerlaw"))
     sizes: list[int] = []

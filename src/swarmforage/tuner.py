@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Arena, CpfaParams, PARAM_NAMES, PARAM_RANGES, derive_seed
-from .engine import TrialConfig, TrialError, run_trial
+from .engine import TrialConfig, run_trial
 from .layouts import Distribution, LayoutSpec
 
 # Draws from the two exponential-rate genes are clamped here.
 EXP_GENE_CAP = 50.0
+# Genomes drawn per tournament; the fittest (lowest index on ties) wins.
+TOURNAMENT_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,6 @@ class GaConfig:
     distribution: Distribution = Distribution.POWERLAW
     master_seed: int = 0
     workers: int = 1
-    tournament_size: int = 2
-    crossover_gene_prob: float = 0.5
-    mutation_gene_prob: float = 0.1
-    mutation_sigma_frac: float = 0.1
     elitism: int = 1
 
     def __post_init__(self):
@@ -114,19 +112,15 @@ def _run_one(args) -> float:
     return float(run_trial(config.training_config(genome, seed)).deposits)
 
 
-def evaluate(genome: CpfaParams, config: GaConfig, seeds: list[int] | None = None,
+def evaluate(genome: CpfaParams, config: GaConfig, seeds: list[int],
              pool: ProcessPoolExecutor | None = None) -> float:
-    """Mean deposits over the seeded training trials; 0 on trial failure."""
-    if seeds is None:
-        seeds = _trial_seeds(config, 0)
+    """Mean deposits over the seeded training trials.  A failed trial
+    raises its error rather than scoring the genome."""
     jobs = [(genome.as_dict(), config, s) for s in seeds]
-    try:
-        if pool is not None:
-            scores = list(pool.map(_run_one, jobs))
-        else:
-            scores = [_run_one(j) for j in jobs]
-    except TrialError:
-        return 0.0
+    if pool is not None:
+        scores = list(pool.map(_run_one, jobs))
+    else:
+        scores = [_run_one(j) for j in jobs]
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -179,7 +173,7 @@ def ga_run(config: GaConfig) -> tuple[CpfaParams, list[GenerationStats]]:
                 break
 
             def tournament() -> CpfaParams:
-                contenders = rng.integers(0, len(population), size=config.tournament_size)
+                contenders = rng.integers(0, len(population), size=TOURNAMENT_SIZE)
                 winner = min(contenders, key=lambda i: (-fitnesses[i], i))
                 return population[int(winner)]
 
@@ -188,8 +182,7 @@ def ga_run(config: GaConfig) -> tuple[CpfaParams, list[GenerationStats]]:
             next_population = [population[i] for i in elites]
             next_fitnesses = [fitnesses[i] for i in elites]
             while len(next_population) < config.population:
-                child = crossover(tournament(), tournament(), rng, config.crossover_gene_prob)
-                child = mutate(child, rng, config.mutation_gene_prob, config.mutation_sigma_frac)
+                child = mutate(crossover(tournament(), tournament(), rng), rng)
                 next_population.append(child)
                 next_fitnesses.append(evaluate_new(child))
             population, fitnesses = next_population, next_fitnesses

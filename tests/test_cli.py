@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
-from swarmforage.cli import main
+from swarmforage import harness
+from swarmforage.cli import _ga_config, build_parser, main
 from swarmforage.core import DEFAULT_PARAMS, load_params, save_params
+from swarmforage.engine import TrialConfig
 from swarmforage.layouts import load_layout
+from swarmforage.tuner import GaConfig
 
 
 class TestGenLayout:
@@ -53,8 +57,23 @@ class TestRunTrial:
         report = json.loads(capsys.readouterr().out)
         assert report["llm_calls"] >= 0
 
+    def test_unknown_policy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run-trial", "--policy", "bogus", "--duration", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_defaults_are_the_trial_config_defaults(self):
+        args = build_parser().parse_args(["run-trial"])
+        defaults = {f.name: f.default for f in dataclasses.fields(TrialConfig)}
+        assert (args.duration, args.policy) == (defaults["duration"], defaults["policy"])
+
 
 class TestGaTrain:
+    def test_defaults_build_the_default_ga_config(self):
+        args = build_parser().parse_args(["ga-train", "--out", "best.txt"])
+        assert _ga_config(args, harness.standard_resource_count(args.arena)) == GaConfig()
+
     def test_trains_and_saves(self, tmp_path, capsys):
         out = tmp_path / "best.txt"
         history = tmp_path / "history.csv"
@@ -110,6 +129,26 @@ class TestGridAndReport:
         assert (report_dir / "summary.csv").exists()
         assert (report_dir / "summary.md").exists()
         assert (report_dir / "boxplot_clustered.csv").exists()
+
+    def test_resumed_failure_counts_once(self, tmp_path, capsys, monkeypatch):
+        store = tmp_path / "store"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "team_sizes": [2], "arena_sides": [6.0], "distributions": ["random"],
+            "trials_per_cell": 1, "duration": 10.0, "policies": ["cascade"],
+        }))
+        argv = ["run-grid", "--spec", str(spec), "--out", str(store)]
+        real_run_trial = harness.run_trial
+
+        def broken(config):
+            raise RuntimeError("transient")
+
+        monkeypatch.setattr(harness, "run_trial", broken)
+        assert main(argv) == 2
+        capsys.readouterr()
+        monkeypatch.setattr(harness, "run_trial", real_run_trial)
+        assert main(argv) == 0
+        assert "1/1 trials ok, 0 failed" in capsys.readouterr().out
 
     def test_report_empty_store(self, tmp_path):
         assert main(["report", "--store", str(tmp_path), "--out", str(tmp_path)]) == 1

@@ -13,9 +13,9 @@ from swarmforage.core import (
     load_params,
     pheromone_strength,
     poisson_cdf,
-    prune_pheromones,
     save_params,
 )
+from swarmforage.engine import PheromoneManager
 
 
 def brute_force_poisson_cdf(c, lam):
@@ -67,52 +67,55 @@ class TestPoissonCdf:
 
 class TestPheromoneMath:
     def test_zero_age(self):
-        w = PheromoneWaypoint((0.0, 0.0), created_at=5.0, owner_robot="r0")
+        w = PheromoneWaypoint((0.0, 0.0), created_at=5.0)
         assert pheromone_strength(w, 5.0, 0.1) == 1.0
 
     def test_zero_decay(self):
-        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0, owner_robot="r0")
+        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0)
         assert pheromone_strength(w, 10.0, 0.0) == 1.0
 
     def test_closed_form(self):
-        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0, owner_robot="r0")
+        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0)
         assert pheromone_strength(w, 10.0, 0.1) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_negative_age_rejected(self):
-        w = PheromoneWaypoint((0.0, 0.0), created_at=10.0, owner_robot="r0")
+        w = PheromoneWaypoint((0.0, 0.0), created_at=10.0)
         with pytest.raises(ValueError):
             pheromone_strength(w, 9.0, 0.1)
 
     def test_half_life(self):
         decay = 0.07
         half_life = math.log(2) / decay
-        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0, owner_robot="r0")
+        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0)
         for k in (1, 2, 3):
             expected = 0.5**k
             got = pheromone_strength(w, k * half_life, decay)
             assert abs(got - expected) / expected < 1e-9
 
+    @staticmethod
+    def pruned(waypoints, now, decay_rate):
+        manager = PheromoneManager(decay_rate)
+        manager.waypoints = list(waypoints)
+        manager.prune(now)
+        return manager.waypoints
+
     def test_prune_empty(self):
-        assert prune_pheromones([], 10.0, 0.1) == []
+        assert self.pruned([], 10.0, 0.1) == []
 
     def test_prune_keeps_fresh(self):
-        w = PheromoneWaypoint((0.0, 0.0), created_at=10.0, owner_robot="r0")
-        assert prune_pheromones([w], 10.0, 0.1, threshold=0.001) == [w]
+        w = PheromoneWaypoint((0.0, 0.0), created_at=10.0)
+        assert self.pruned([w], 10.0, 0.1) == [w]
 
     def test_prune_drops_expired(self):
         # e^(-0.1 * 70) ~= 0.00091 < 0.001
-        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0, owner_robot="r0")
-        assert prune_pheromones([w], 70.0, 0.1, threshold=0.001) == []
+        w = PheromoneWaypoint((0.0, 0.0), created_at=0.0)
+        assert self.pruned([w], 70.0, 0.1) == []
 
     def test_prune_preserves_order(self):
-        old = PheromoneWaypoint((0.0, 0.0), created_at=0.0, owner_robot="r0")
-        w1 = PheromoneWaypoint((1.0, 0.0), created_at=60.0, owner_robot="r1")
-        w2 = PheromoneWaypoint((2.0, 0.0), created_at=50.0, owner_robot="r2")
-        assert prune_pheromones([w1, old, w2], 70.0, 0.1) == [w1, w2]
-
-    def test_prune_requires_positive_threshold(self):
-        with pytest.raises(ValueError):
-            prune_pheromones([], 0.0, 0.1, threshold=0.0)
+        old = PheromoneWaypoint((0.0, 0.0), created_at=0.0)
+        w1 = PheromoneWaypoint((1.0, 0.0), created_at=60.0)
+        w2 = PheromoneWaypoint((2.0, 0.0), created_at=50.0)
+        assert self.pruned([w1, old, w2], 70.0, 0.1) == [w1, w2]
 
 
 class TestRngStreams:
@@ -136,8 +139,8 @@ class TestRngStreams:
         assert not np.array_equal(a, b)
 
     def test_different_master_seeds_differ(self):
-        a = RngStreams(1).layout().random(100)
-        b = RngStreams(2).layout().random(100)
+        a = RngStreams(1).stream("layout").random(100)
+        b = RngStreams(2).stream("layout").random(100)
         assert not np.array_equal(a, b)
 
     def test_derive_seed_stable(self):
@@ -166,10 +169,10 @@ class TestParams:
 class TestArena:
     def test_square(self):
         arena = Arena.square(6.0)
-        assert arena.half_width == arena.half_height == 3.0
+        assert arena.half_width == 3.0
         assert arena.contains(2.9, -2.9)
         assert not arena.contains(3.1, 0.0)
 
     def test_zone_must_fit(self):
         with pytest.raises(ValueError):
-            Arena(0.4, 0.4, center_zone_radius=0.5)
+            Arena(0.4, center_zone_radius=0.5)

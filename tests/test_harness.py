@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from swarmforage import harness
 from swarmforage.core import DEFAULT_PARAMS
 from swarmforage.harness import (
     ARENA_RESOURCES,
@@ -104,6 +105,26 @@ class TestRunGrid:
             return sorted(json.dumps(r, sort_keys=True) for r in rows)
 
         assert normalized(resumed) == normalized(clean)
+
+    def test_resume_reruns_a_job_whose_config_changed(self, tmp_path):
+        run_grid(tiny_spec(duration=10.0), str(tmp_path))
+        rows = run_grid(tiny_spec(duration=20.0), str(tmp_path))
+        assert len(rows) == 8
+        assert {row["settings"]["duration"] for row in rows} == {20.0}
+        assert len((tmp_path / "results.jsonl").read_text().splitlines()) == 16
+
+    def test_a_retried_error_is_superseded(self, tmp_path, monkeypatch):
+        spec = tiny_spec(distributions=("random",), trials_per_cell=1, policies=("cascade",))
+        real_run_trial = harness.run_trial
+
+        def broken(config):
+            raise RuntimeError("transient")
+
+        monkeypatch.setattr(harness, "run_trial", broken)
+        assert [row["status"] for row in run_grid(spec, str(tmp_path))] == ["error"]
+        monkeypatch.setattr(harness, "run_trial", real_run_trial)
+        assert [row["status"] for row in run_grid(spec, str(tmp_path))] == ["ok"]
+        assert [row["status"] for row in load_store(str(tmp_path))] == ["ok"]
 
     def test_parallel_matches_serial(self, tmp_path):
         spec = tiny_spec()

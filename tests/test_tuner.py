@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from swarmforage import tuner
 from swarmforage.core import CpfaParams, DEFAULT_PARAMS, PARAM_NAMES, PARAM_RANGES
+from swarmforage.engine import TrialError
 from swarmforage.layouts import Distribution
 from swarmforage.tuner import (
     GaConfig,
+    _trial_seeds,
     crossover,
     evaluate,
     ga_cost,
@@ -97,13 +100,13 @@ class TestOperators:
 class TestEvaluate:
     def test_zero_duration_zero_fitness(self):
         config = desk_config(eval_duration=0.0, trials_per_genome=1)
-        assert evaluate(DEFAULT_PARAMS, config) == 0.0
+        assert evaluate(DEFAULT_PARAMS, config, seeds=_trial_seeds(config, 0)) == 0.0
 
     def test_all_zero_genome_finishes(self):
         zero = CpfaParams(p_s=0.0, p_r=0.0, rho_u=0.0, lambda_i=0.0,
                           lambda_f=0.0, lambda_lp=0.0, lambda_d=0.0)
         config = desk_config(eval_duration=60.0, trials_per_genome=1)
-        fitness = evaluate(zero, config)
+        fitness = evaluate(zero, config, seeds=_trial_seeds(config, 0))
         assert np.isfinite(fitness) and fitness >= 0.0
 
     def test_deterministic(self):
@@ -112,6 +115,14 @@ class TestEvaluate:
         a = evaluate(DEFAULT_PARAMS, config, seeds=seeds)
         b = evaluate(DEFAULT_PARAMS, config, seeds=seeds)
         assert a == b
+
+    def test_trial_failure_is_raised_not_scored(self, monkeypatch):
+        def broken(config):
+            raise TrialError("policy init failed")
+
+        monkeypatch.setattr(tuner, "run_trial", broken)
+        with pytest.raises(TrialError, match="policy init failed"):
+            evaluate(DEFAULT_PARAMS, desk_config(), seeds=[101])
 
 
 class TestGaRun:
