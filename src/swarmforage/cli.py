@@ -15,7 +15,7 @@ import time
 
 from .core import Arena, DEFAULT_PARAMS, load_params, save_params
 from .engine import POLICY_NAMES, TrialConfig, run_trial
-from .gateway import MODES, REASONING_EFFORTS, GatewayConfig, mock_serve
+from .gateway import MODES, REASONING_EFFORTS, GatewayConfig, mock_behavior, mock_serve
 from .harness import (
     GridSpec,
     emit_boxplot_data,
@@ -26,7 +26,8 @@ from .harness import (
     write_summary_csv,
     write_summary_markdown,
 )
-from .layouts import Distribution, LayoutSpec, generate, load_layout, save_layout
+from .layouts import (Distribution, LayoutError, LayoutSpec, generate, load_layout,
+                      load_layout_spec, save_layout)
 from .tuner import GaConfig, ga_run, save_history
 
 
@@ -37,7 +38,7 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--llm-model", default=default.model_name)
     parser.add_argument("--llm-api-key-env", default=default.api_key_env)
     parser.add_argument("--llm-timeout", type=float, default=default.timeout)
-    parser.add_argument("--llm-mock-behavior", default=default.mock_behavior)
+    parser.add_argument("--llm-mock-behavior", default=default.mock_behavior, type=mock_behavior)
     parser.add_argument("--llm-cassette", default=default.cassette_path)
     parser.add_argument("--llm-reasoning-effort", default=default.reasoning_effort,
                         choices=REASONING_EFFORTS)
@@ -86,12 +87,25 @@ def _cmd_gen_layout(args) -> int:
 
 def _cmd_run_trial(args) -> int:
     arena = Arena.square(args.arena)
-    count = _resource_count(args)
-    if count is None:
-        return 1
+    resources = None
+    if args.layout_file:
+        # the file's header, not --dist/--count/--layout-seed, says what runs
+        try:
+            layout = load_layout_spec(args.layout_file)
+        except LayoutError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        if layout.arena != arena:
+            print(f"{args.layout_file}: its arena is not --arena {args.arena:g}", file=sys.stderr)
+            return 1
+        resources = load_layout(args.layout_file)
+    else:
+        count = _resource_count(args)
+        if count is None:
+            return 1
+        layout_seed = args.layout_seed if args.layout_seed is not None else args.seed
+        layout = LayoutSpec(Distribution(args.dist), count, arena, seed=layout_seed)
     params = load_params(args.params) if args.params else DEFAULT_PARAMS
-    layout_seed = args.layout_seed if args.layout_seed is not None else args.seed
-    layout = LayoutSpec(Distribution(args.dist), count, arena, seed=layout_seed)
     config = TrialConfig(
         arena=arena,
         team_size=args.team,
@@ -102,7 +116,6 @@ def _cmd_run_trial(args) -> int:
         seed=args.seed,
         gateway=_gateway_from_args(args) if args.policy == "llm" else None,
     )
-    resources = load_layout(args.layout_file) if args.layout_file else None
     result = run_trial(config, resources=resources)
     if args.log:
         with open(args.log, "wb") as fh:
@@ -178,7 +191,11 @@ def _load_grid_spec(args) -> GridSpec:
 
 
 def _cmd_run_grid(args) -> int:
-    spec = _load_grid_spec(args)
+    try:
+        spec = _load_grid_spec(args)
+    except ValueError as exc:  # e.g. an unknown policy or distribution name
+        print(exc, file=sys.stderr)
+        return 2
     total = len(spec.cells()) * spec.trials_per_cell * len(spec.policies)
     done = {"n": 0}
 
@@ -291,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("mock-llm-serve", help="serve a local mock decision endpoint")
-    p.add_argument("--behavior", default="scripted")
+    p.add_argument("--behavior", default="scripted", type=mock_behavior)
     p.add_argument("--port", type=int, default=8080)
     p.set_defaults(func=_cmd_mock_llm_serve)
 

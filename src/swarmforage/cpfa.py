@@ -9,6 +9,7 @@ and the chosen action is carried out with the kinematics primitives.
 """
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -64,9 +65,6 @@ class ForagerMemory:
     search_started_at: Optional[float] = None
     informed_search_started_at: Optional[float] = None
 
-    def time_since_last_pickup(self, now: float) -> float:
-        return now - self.last_pickup_time
-
 
 def uninformed_step_heading(
     heading: float, params: CpfaParams, rng: np.random.Generator
@@ -116,8 +114,8 @@ class Robot:
     memory: ForagerMemory = field(default_factory=ForagerMemory)
     next_tick_at: float = TICK_PERIOD_S
     next_starvation_at: Optional[float] = None
-    hold_until: Optional[float] = None
-    pending: Optional[tuple[DecisionEvent, PolicyDecision]] = None
+    # a decision waiting out the injected latency: (until, event, decision)
+    held: Optional[tuple[float, DecisionEvent, PolicyDecision]] = None
 
     @property
     def robot_id(self) -> str:
@@ -218,7 +216,7 @@ def _build_event(robot: Robot, world, event_type: EventType) -> DecisionEvent:
         sim_time_sec=now,
         position=(robot.pose.x, robot.pose.y),
         resource_density=mem.last_density,
-        time_since_last_pickup=mem.time_since_last_pickup(now),
+        time_since_last_pickup=now - mem.last_pickup_time,
         last_pickup_location=mem.last_pickup_location,
         active_pheromone_count=world.pheromones.count(now),
         pheromone_summary=world.pheromones.summary(now) if at_center else None,
@@ -226,112 +224,82 @@ def _build_event(robot: Robot, world, event_type: EventType) -> DecisionEvent:
     )
 
 
-def _ask_policy(robot: Robot, world, policy, event: DecisionEvent) -> PolicyDecision:
+def _log_decision(robot: Robot, world, event: DecisionEvent, decision: PolicyDecision,
+                  requested: Optional[str] = None) -> None:
+    payload = {
+        "event_type": event.event_type.value,
+        "action": decision.action.value,
+        "source": decision.source,
+        "requested_action": requested,
+        "rationale": decision.rationale,
+        "fallback_reason": decision.fallback_reason,
+        "latency": decision.latency,
+        "context": event.payload(),
+        "request": decision.request_body,
+        "response": decision.response_body,
+    }
+    world.log(robot, "DECISION", {key: value for key, value in payload.items() if value is not None})
+
+
+def _decide(robot: Robot, world, policy, event_type: EventType) -> None:
+    """One decision point: build the event, ask the policy, then act at
+    once or, for an LLM call under injected latency, hold until it lands.
+
+    A starvation decision is logged when decided; an at-centre decision
+    when acted on, so the log shows any degrade.
+    """
+    event = _build_event(robot, world, event_type)
+    starvation = event_type is EventType.SEARCH_STARVATION
+    if not starvation:
+        robot._set_state(world, FsmState.AT_CENTER)
     try:
         decision = policy.decide(event)
+        if decision.action.value not in event.allowed_actions:
+            raise ValueError(f"{decision.action.value} is not an allowed action here")
     except FatalPolicyError:
         raise
     except Exception as exc:  # the controller never stalls on a policy failure
         action = fallback_decide(event, robot.params, world.streams.policy(robot.index))
         decision = PolicyDecision(action=action, source="fallback", fallback_reason="policy_error")
         world.log(robot, "POLICY_ERROR", {"error": str(exc)})
-    world.record_decision(robot, event, decision)
-    return decision
-
-
-def _log_decision(
-    robot: Robot, world, event: DecisionEvent, decision: PolicyDecision,
-    source: str, action: TacticalAction, requested: Optional[str],
-) -> None:
-    payload = {
-        "event_type": event.event_type.value,
-        "action": action.value,
-        "source": source,
-    }
-    if requested is not None:
-        payload["requested_action"] = requested
-    if decision.rationale is not None:
-        payload["rationale"] = decision.rationale
-    if decision.fallback_reason is not None:
-        payload["fallback_reason"] = decision.fallback_reason
-    if decision.latency is not None:
-        payload["latency"] = decision.latency
-    payload["context"] = event.payload()
-    if decision.request_body is not None:
-        payload["request"] = decision.request_body
-    if decision.response_body is not None:
-        payload["response"] = decision.response_body
-    world.log(robot, "DECISION", payload)
-
-
-def _execute_center_action(robot: Robot, world, event: DecisionEvent,
-                           decision: PolicyDecision) -> None:
-    """Carry out a validated at-centre action, degrading to uninformed
-    search when the choice cannot execute (no waypoint, no memory)."""
-    action = decision.action
-    source = decision.source
-    requested = None
-    target_wp = None
-    if action is TacticalAction.FOLLOW_PHEROMONE:
-        target_wp = world.pheromones.select(world.t, robot.rng)
-        if target_wp is None:
-            requested, action, source = action.value, TacticalAction.UNINFORMED_SEARCH, "degraded"
-    if action is TacticalAction.USE_SITE_FIDELITY and robot.memory.last_pickup_location is None:
-        requested, action, source = action.value, TacticalAction.UNINFORMED_SEARCH, "degraded"
-
-    _log_decision(robot, world, event, decision, source, action, requested)
-
-    if action is TacticalAction.USE_SITE_FIDELITY:
-        robot.target = robot.memory.last_pickup_location
-        robot._set_state(world, FsmState.TRAVELING_TO_SITE)
-    elif action is TacticalAction.FOLLOW_PHEROMONE:
-        robot.target = target_wp.location
-        robot._set_state(world, FsmState.TRAVELING_TO_PHEROMONE)
+    world.record_decision(decision)
+    if starvation:
+        _log_decision(robot, world, event, decision)
+    if world.injected_latency and decision.llm_call:
+        robot.held = (world.t + world.injected_latency, event, decision)
     else:
-        robot.assign_disperse_target(world)
-        robot._set_state(world, FsmState.DISPERSING)
+        _act(robot, world, event, decision)
 
 
-def _center_decision(robot: Robot, world, policy, event_type: EventType) -> None:
-    event = _build_event(robot, world, event_type)
-    robot._set_state(world, FsmState.AT_CENTER)
-    decision = _ask_policy(robot, world, policy, event)
-    if world.injected_latency and decision.llm_call:
-        robot.hold_until = world.t + world.injected_latency
-        robot.pending = (event, decision)
-        return
-    _execute_center_action(robot, world, event, decision)
-
-
-def _starvation_decision(robot: Robot, world, policy) -> None:
-    event = _build_event(robot, world, EventType.SEARCH_STARVATION)
-    decision = _ask_policy(robot, world, policy, event)
-    _log_decision(robot, world, event, decision, decision.source, decision.action, None)
-    if world.injected_latency and decision.llm_call:
-        robot.hold_until = world.t + world.injected_latency
-        robot.pending = (event, decision)
-        return
-    _apply_starvation_action(robot, world, decision.action)
-
-
-def _apply_starvation_action(robot: Robot, world, action: TacticalAction) -> None:
+def _act(robot: Robot, world, event: DecisionEvent, decision: PolicyDecision) -> None:
+    """Carry out a decided action.  An at-centre choice that cannot
+    execute (no waypoint to follow, no site remembered) degrades to
+    uninformed search."""
+    action = decision.action
     if action is TacticalAction.RETURN_FOR_INFO:
         robot.memory.fidelity_flag = False
         robot._go_home(world, carrying=False)
-    else:
+        return
+    if action is TacticalAction.CONTINUE_SEARCH:
         robot.next_starvation_at = world.t + SEARCH_STARVATION_EVERY_S
-
-
-def _handle_deposit(robot: Robot, world, policy) -> None:
-    world.try_deposit(robot)
-    mem = robot.memory
-    if mem.fidelity_flag and should_lay_pheromone(mem.last_density, robot.params, robot.rng):
-        world.pheromones.add(mem.last_pickup_location, world.t)
-        world.log(robot, "PHEROMONE", {
-            "location": [mem.last_pickup_location[0], mem.last_pickup_location[1]],
-            "density": mem.last_density,
-        })
-    _center_decision(robot, world, policy, EventType.POST_DEPOSIT_DECISION)
+        return
+    target, state = None, FsmState.DISPERSING
+    if action is TacticalAction.FOLLOW_PHEROMONE:
+        waypoint = world.pheromones.select(world.t, robot.rng)
+        if waypoint is not None:
+            target, state = waypoint.location, FsmState.TRAVELING_TO_PHEROMONE
+    elif action is TacticalAction.USE_SITE_FIDELITY and robot.memory.last_pickup_location is not None:
+        target, state = robot.memory.last_pickup_location, FsmState.TRAVELING_TO_SITE
+    if target is None and action is not TacticalAction.UNINFORMED_SEARCH:
+        _log_decision(robot, world, event, dataclasses.replace(
+            decision, action=TacticalAction.UNINFORMED_SEARCH, source="degraded"), action.value)
+    else:
+        _log_decision(robot, world, event, decision)
+    if target is None:
+        robot.assign_disperse_target(world)
+    else:
+        robot.target = target
+    robot._set_state(world, state)
 
 
 def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
@@ -339,16 +307,12 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
     now = world.t
     mem = robot.memory
 
-    if robot.hold_until is not None:
-        if now + _EPS < robot.hold_until:
+    if robot.held is not None:
+        until, event, decision = robot.held
+        if now + _EPS < until:
             return robot.state
-        pending, robot.pending, robot.hold_until = robot.pending, None, None
-        if pending is not None:
-            event, decision = pending
-            if event.event_type is EventType.SEARCH_STARVATION:
-                _apply_starvation_action(robot, world, decision.action)
-            else:
-                _execute_center_action(robot, world, event, decision)
+        robot.held = None
+        _act(robot, world, event, decision)
         return robot.state
 
     if robot.state in SEARCHING_STATES:
@@ -364,8 +328,8 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
         tick = robot._tick_due(now)
         if policy.uses_starvation:
             if robot.next_starvation_at is not None and now >= robot.next_starvation_at - _EPS:
-                _starvation_decision(robot, world, policy)
-                if robot.state not in SEARCHING_STATES or robot.hold_until is not None:
+                _decide(robot, world, policy, EventType.SEARCH_STARVATION)
+                if robot.state not in SEARCHING_STATES or robot.held is not None:
                     return robot.state
         elif tick and should_give_up(robot.params, robot.rng):
             mem.fidelity_flag = False
@@ -398,18 +362,20 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
             robot._begin_search(world, informed=True)
         return robot.state
 
-    if robot.state is FsmState.RETURNING_WITH_RESOURCE:
-        if math.hypot(robot.pose.x, robot.pose.y) <= world.arena.center_zone_radius:
-            _handle_deposit(robot, world, policy)
-            return robot.state
-        _travel_drive(robot, world, gated)
-        return robot.state
-
-    if robot.state is FsmState.RETURNING_EMPTY:
-        if math.hypot(robot.pose.x, robot.pose.y) <= world.arena.center_zone_radius:
-            _center_decision(robot, world, policy, EventType.CENTRAL_ZONE_ARRIVAL)
-            return robot.state
-        _travel_drive(robot, world, gated)
+    if robot.state in (FsmState.RETURNING_WITH_RESOURCE, FsmState.RETURNING_EMPTY):
+        if math.hypot(robot.pose.x, robot.pose.y) > world.arena.center_zone_radius:
+            _travel_drive(robot, world, gated)
+        elif robot.carrying:
+            world.try_deposit(robot)
+            if mem.fidelity_flag and should_lay_pheromone(mem.last_density, robot.params, robot.rng):
+                world.pheromones.add(mem.last_pickup_location, now)
+                world.log(robot, "PHEROMONE", {
+                    "location": [mem.last_pickup_location[0], mem.last_pickup_location[1]],
+                    "density": mem.last_density,
+                })
+            _decide(robot, world, policy, EventType.POST_DEPOSIT_DECISION)
+        else:
+            _decide(robot, world, policy, EventType.CENTRAL_ZONE_ARRIVAL)
         return robot.state
 
     # AT_CENTER only persists while a decision hold is pending

@@ -63,16 +63,22 @@ class TrialConfig:
 class TrialResult:
     deposits: int
     event_log: list
-    llm_calls: int
-    llm_fallbacks: int
     latency_samples: list
-    outcome_counts: dict
+    outcome_counts: dict  # LLM calls by outcome: ok or the fallback reason
     settings: dict
 
     def log_bytes(self) -> bytes:
         """The event log as canonical JSONL, for determinism comparisons."""
         lines = [json.dumps(rec, separators=(",", ":")) for rec in self.event_log]
         return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+
+    @property
+    def llm_calls(self) -> int:
+        return sum(self.outcome_counts.values())
+
+    @property
+    def llm_fallbacks(self) -> int:
+        return self.llm_calls - self.outcome_counts.get("ok", 0)
 
     @property
     def latency_mean(self) -> Optional[float]:
@@ -140,8 +146,6 @@ class World:
         self.step_index = 0
         self.deposits = 0
         self.event_log: list = []
-        self.llm_calls = 0
-        self.llm_fallbacks = 0
         self.latency_samples: list = []
         self.outcome_counts: dict = {}
         self.injected_latency = getattr(config.gateway, "injected_latency", None)
@@ -248,15 +252,12 @@ class World:
              "kind": kind, "payload": payload}
         )
 
-    def record_decision(self, robot, event, decision) -> None:
+    def record_decision(self, decision) -> None:
+        """Tally an LLM call by outcome; other decisions are not counted."""
         if decision.llm_call:
-            self.llm_calls += 1
-            if decision.latency is not None:
-                self.latency_samples.append(decision.latency)
+            self.latency_samples.append(decision.latency)
             outcome = decision.fallback_reason or "ok"
             self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
-            if decision.source == "fallback":
-                self.llm_fallbacks += 1
 
     def carrying_count(self) -> int:
         return sum(1 for r in self.robots if r.carrying)
@@ -280,8 +281,6 @@ class World:
         return TrialResult(
             deposits=self.deposits,
             event_log=self.event_log,
-            llm_calls=self.llm_calls,
-            llm_fallbacks=self.llm_fallbacks,
             latency_samples=self.latency_samples,
             outcome_counts=dict(self.outcome_counts),
             settings=self.settings(),

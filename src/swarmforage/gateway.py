@@ -49,6 +49,13 @@ REASONING_EFFORTS = ("low", "medium", "high")
 MOCK_BEHAVIORS = ("scripted", "always_invalid", "always_timeout")
 
 
+def mock_behavior(name: str) -> str:
+    """``name`` if the mock answers it (MOCK_BEHAVIORS or ``fixed:<ACTION>``)."""
+    if name in MOCK_BEHAVIORS or name.startswith("fixed:"):
+        return name
+    raise ValueError(f"unknown mock behavior {name!r}; expected {MOCK_BEHAVIORS} or fixed:<ACTION>")
+
+
 class CassetteMissError(FatalPolicyError):
     """Replay asked for a request the cassette never recorded."""
 
@@ -77,6 +84,7 @@ class GatewayConfig:
             raise ValueError(f"reasoning_effort must be one of {REASONING_EFFORTS}")
         if self.mode in ("replay", "record") and not self.cassette_path:
             raise ValueError(f"mode {self.mode!r} requires cassette_path")
+        mock_behavior(self.mock_behavior)
 
 
 @dataclass
@@ -288,8 +296,6 @@ class LlmClient:
 class LlmPolicy(DecisionPolicy):
     """Queries an LLM endpoint through the gateway; cascade on failure."""
 
-    name = "llm"
-
     def __init__(self, client: LlmClient, params: CpfaParams, rng: np.random.Generator):
         self.client = client
         self.params = params
@@ -298,45 +304,24 @@ class LlmPolicy(DecisionPolicy):
     def decide(self, event: DecisionEvent) -> PolicyDecision:
         request = build_prompt(event)
         result = self.client.call(request)
-        if result.error is not None:
-            raw: DecisionResponse | FallbackSignal = FallbackSignal("timeout")
-        else:
-            raw = parse_response(result.body)
+        raw = FallbackSignal("timeout") if result.error is not None else parse_response(result.body)
         validated = validate(raw, event)
         if isinstance(validated, FallbackSignal):
-            outcome = validated.reason
             action = fallback_decide(event, self.params, self.rng)
-            decision = PolicyDecision(
-                action=action,
-                source="fallback",
-                fallback_reason=validated.reason,
-                llm_call=True,
-                latency=result.latency,
-                request_body=request,
-                response_body=result.body,
-            )
+            source, rationale, reason = "fallback", None, validated.reason
         else:
-            outcome = "ok"
-            assert isinstance(raw, DecisionResponse)
-            decision = PolicyDecision(
-                action=validated,
-                source="llm",
-                rationale=raw.rationale,
-                llm_call=True,
-                latency=result.latency,
-                request_body=request,
-                response_body=result.body,
-            )
-        self.client.finish_call(event, request, result, outcome)
-        return decision
+            action, source, rationale, reason = validated, "llm", raw.rationale, None
+        self.client.finish_call(event, request, result, reason or "ok")
+        return PolicyDecision(action=action, source=source, rationale=rationale,
+                              fallback_reason=reason, latency=result.latency,
+                              request_body=request, response_body=result.body)
 
 
 class MockLlmServer:
     """Local OpenAI-shaped endpoint for integration tests and demos."""
 
     def __init__(self, behavior: str = "scripted", port: int = 0, hang_seconds: float = 3600.0):
-        if not (behavior in MOCK_BEHAVIORS or behavior.startswith("fixed:")):
-            raise ValueError(f"unknown mock behavior {behavior!r}")
+        mock_behavior(behavior)
         server = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Arena, CpfaParams, DEFAULT_PARAMS, derive_seed
-from .engine import TrialConfig, run_trial
+from .engine import POLICY_NAMES, TrialConfig, run_trial
 from .gateway import GatewayConfig
 from .layouts import Distribution, LayoutSpec
 
@@ -42,6 +42,13 @@ class GridSpec:
     master_seed: int = 0
     params: CpfaParams = DEFAULT_PARAMS
     gateway: Optional[GatewayConfig] = None  # for any "llm" policy entries
+
+    def __post_init__(self):
+        for policy in self.policies:
+            if policy not in POLICY_NAMES:
+                raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
+        for dist in self.distributions:
+            Distribution(dist)  # ValueError: 'bogus' is not a valid Distribution
 
     def cells(self) -> list[tuple]:
         return [

@@ -247,6 +247,18 @@ def save_layout(field: ResourceField, spec: LayoutSpec, path) -> None:
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
+def load_layout_spec(path) -> LayoutSpec:
+    """The spec recorded in the header line ``save_layout`` writes."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+    try:
+        fields = dict(word.split("=", 1) for word in header.removeprefix("# layout ").split())
+        return LayoutSpec(Distribution(fields["dist"]), int(fields["count"]),
+                          Arena.square(float(fields["arena"])), seed=int(fields["seed"]))
+    except (KeyError, ValueError) as exc:
+        raise LayoutError(f"{path} has no valid '# layout' header") from exc
+
+
 def load_layout(path) -> ResourceField:
     points = []
     with open(path, "r", encoding="utf-8") as fh:

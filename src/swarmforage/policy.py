@@ -210,17 +210,20 @@ class PolicyDecision:
     action: TacticalAction
     source: str  # cascade | llm | scripted | fallback
     rationale: Optional[str] = None
-    llm_call: bool = False
     fallback_reason: Optional[str] = None
     latency: Optional[float] = None
     request_body: Optional[dict] = None
     response_body: Optional[str] = None
 
+    @property
+    def llm_call(self) -> bool:
+        """True when the decision went out to an LLM endpoint."""
+        return self.request_body is not None
+
 
 class DecisionPolicy:
     """Base class; subclasses answer the three decision-point events."""
 
-    name = "base"
     # True when the time-triggered starvation decision replaces the
     # per-tick give-up probability p_r.
     uses_starvation = True
@@ -232,7 +235,6 @@ class DecisionPolicy:
 class CascadePolicy(DecisionPolicy):
     """Vanilla parameter-driven decisions; give-up stays with p_r."""
 
-    name = "cascade"
     uses_starvation = False
 
     def __init__(self, params: CpfaParams, rng: np.random.Generator):
@@ -247,8 +249,6 @@ class CascadePolicy(DecisionPolicy):
 class ScriptedPolicy(DecisionPolicy):
     """Deterministic heuristic used as the offline LLM stand-in."""
 
-    name = "scripted"
-
     def decide(self, event: DecisionEvent) -> PolicyDecision:
         response = scripted_decide(event)
         validated = validate(response, event)
@@ -257,23 +257,12 @@ class ScriptedPolicy(DecisionPolicy):
 
 
 class FixedActionPolicy(DecisionPolicy):
-    """Always answers the same action per event family; degraded baseline."""
-
-    name = "fixed"
-
-    def __init__(
-        self,
-        center_action: TacticalAction = TacticalAction.UNINFORMED_SEARCH,
-        starvation_action: TacticalAction = TacticalAction.RETURN_FOR_INFO,
-    ):
-        self.center_action = center_action
-        self.starvation_action = starvation_action
+    """Uninformed baseline: random search at the centre, return for
+    information on starvation."""
 
     def decide(self, event: DecisionEvent) -> PolicyDecision:
         if event.event_type is EventType.SEARCH_STARVATION:
-            action = self.starvation_action
+            action = TacticalAction.RETURN_FOR_INFO
         else:
-            action = self.center_action
-        validated = validate(DecisionResponse(action.value, ""), event)
-        assert isinstance(validated, TacticalAction)
-        return PolicyDecision(action=validated, source="scripted", rationale="fixed policy")
+            action = TacticalAction.UNINFORMED_SEARCH
+        return PolicyDecision(action=action, source="scripted", rationale="fixed policy")

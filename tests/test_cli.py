@@ -49,6 +49,31 @@ class TestRunTrial:
         report = json.loads(capsys.readouterr().out)
         assert report["settings"]["resource_count"] == 64
 
+    def test_layout_file_reports_the_layout_it_ran(self, tmp_path, capsys):
+        layout_file = tmp_path / "layout.txt"
+        main(["gen-layout", "--dist", "random", "--count", "20", "--arena", "6",
+              "--seed", "3", "--out", str(layout_file)])
+        capsys.readouterr()
+        code = main(["run-trial", "--arena", "6", "--duration", "30",
+                     "--layout-file", str(layout_file)])
+        assert code == 0
+        settings = json.loads(capsys.readouterr().out)["settings"]
+        assert (settings["distribution"], settings["resource_count"],
+                settings["layout_seed"]) == ("random", 20, 3)
+
+    def test_layout_file_needs_a_header_for_the_arena(self, tmp_path, capsys):
+        layout_file = tmp_path / "layout.txt"
+        main(["gen-layout", "--dist", "random", "--count", "20", "--arena", "6",
+              "--seed", "3", "--out", str(layout_file)])
+        capsys.readouterr()
+        argv = ["run-trial", "--duration", "1", "--layout-file"]
+        assert main(argv + [str(layout_file), "--arena", "8"]) == 1
+        assert "not --arena 8" in capsys.readouterr().err
+        bare = tmp_path / "bare.txt"
+        bare.write_text("".join(layout_file.read_text().splitlines(keepends=True)[1:]))
+        assert main(argv + [str(bare), "--arena", "6"]) == 1
+        assert "no valid '# layout' header" in capsys.readouterr().err
+
     def test_llm_mock_policy(self, tmp_path, capsys):
         code = main(["run-trial", "--team", "2", "--arena", "6", "--dist", "clustered",
                      "--policy", "llm", "--duration", "60", "--seed", "3",
@@ -62,6 +87,13 @@ class TestRunTrial:
             main(["run-trial", "--policy", "bogus", "--duration", "1"])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_unknown_mock_behavior_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run-trial", "--policy", "llm", "--llm-mock-behavior", "bogus",
+                  "--duration", "1"])
+        assert exc.value.code == 2
+        assert "invalid mock_behavior value: 'bogus'" in capsys.readouterr().err
 
     def test_defaults_are_the_trial_config_defaults(self):
         args = build_parser().parse_args(["run-trial"])
@@ -150,5 +182,28 @@ class TestGridAndReport:
         assert main(argv) == 0
         assert "1/1 trials ok, 0 failed" in capsys.readouterr().out
 
+    def test_unknown_policy_or_distribution_is_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "team_sizes": [2], "arena_sides": [6.0], "distributions": ["random"],
+            "trials_per_cell": 1, "duration": 10.0,
+        }))
+        store = tmp_path / "store"
+        argv = ["run-grid", "--spec", str(spec), "--out", str(store)]
+        assert main(argv + ["--policies", "cascade,bogus"]) == 2
+        assert "unknown policy 'bogus'" in capsys.readouterr().err
+        spec.write_text(json.dumps({"distributions": ["bogus"]}))
+        assert main(argv) == 2
+        assert "'bogus' is not a valid Distribution" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_report_empty_store(self, tmp_path):
         assert main(["report", "--store", str(tmp_path), "--out", str(tmp_path)]) == 1
+
+
+class TestMockLlmServe:
+    def test_unknown_behavior_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mock-llm-serve", "--behavior", "bogus", "--port", "0"])
+        assert exc.value.code == 2
+        assert "invalid mock_behavior value: 'bogus'" in capsys.readouterr().err

@@ -17,7 +17,9 @@ from swarmforage.kinematics import MotionLimits
 from swarmforage.layouts import Distribution, LayoutSpec
 from swarmforage.policy import (
     DecisionEvent,
+    DecisionPolicy,
     EventType,
+    PolicyDecision,
     TacticalAction,
     build_whitelist,
     cascade_central_arrival,
@@ -260,6 +262,23 @@ class TestFsmInvariants:
                 assert payload["action"] in payload["context"]["allowed_actions"] or \
                     payload["source"] == "degraded"
 
+    def test_an_action_outside_the_whitelist_falls_back(self):
+        class ContinueEverywhere(DecisionPolicy):
+            def decide(self, event):
+                return PolicyDecision(action=TacticalAction.CONTINUE_SEARCH, source="scripted")
+
+        world = World(trial_config(team=2, duration=300.0, seed=1),
+                      policy_factory=lambda i: ContinueEverywhere())
+        result = world.run()
+        errors = [e for e in result.event_log if e["kind"] == "POLICY_ERROR"]
+        assert errors
+        assert all("CONTINUE_SEARCH is not an allowed action" in e["payload"]["error"]
+                   for e in errors)
+        centre = [e["payload"] for e in result.event_log if e["kind"] == "DECISION"
+                  and e["payload"]["event_type"] != "SEARCH_STARVATION"]
+        assert len(centre) == len(errors)
+        assert all(p["source"] == "fallback" for p in centre)
+
 
 class TestStarvationTiming:
     def test_first_fire_and_refire(self):
@@ -288,12 +307,11 @@ class TestStarvationTiming:
         config = TrialConfig(arena=arena, team_size=1, layout=layout, params=DEFAULT_PARAMS,
                              policy="cascade", duration=200.0, seed=5)
 
-        from swarmforage.policy import FixedActionPolicy, TacticalAction
+        class ContinueSearch(DecisionPolicy):
+            def decide(self, event):
+                return PolicyDecision(action=TacticalAction.CONTINUE_SEARCH, source="scripted")
 
-        def factory(i):
-            return FixedActionPolicy(starvation_action=TacticalAction.CONTINUE_SEARCH)
-
-        world = World(config, policy_factory=factory)
+        world = World(config, policy_factory=lambda i: ContinueSearch())
         result = world.run()
         times = [e["t"] for e in result.event_log
                  if e["kind"] == "DECISION" and e["payload"]["event_type"] == "SEARCH_STARVATION"]

@@ -174,6 +174,11 @@ class TestGatewayConfig:
         with pytest.raises(ValueError):
             GatewayConfig(mode="replay")  # needs cassette_path
 
+    def test_unknown_mock_behavior_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown mock behavior 'bogus'"):
+            GatewayConfig(mock_behavior="bogus")
+        assert GatewayConfig(mock_behavior="fixed:UNINFORMED_SEARCH").mode == "mock"
+
 
 class TestMockServer:
     def test_scripted_over_http(self):

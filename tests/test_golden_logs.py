@@ -1,13 +1,18 @@
 """Golden event-log hashes: the equivalence oracle for refactors.
 
 Each case pins the SHA-256 of ``TrialResult.log_bytes()`` for one fixed
-trial.  The cases cover every policy (the llm policy through the
-in-process mock, with injected latency so decisions are held), all three
-layouts, team sizes 3 and 10, two sampled genomes, and 120-240 s trials,
-five of which outlive a pheromone waypoint and prune it.
+trial, and beside it the result's deposits and LLM tallies.  The cases
+cover every policy (the llm policy through the in-process mock, with
+injected latency so decisions are held), all three layouts, team sizes
+3 and 10, two sampled genomes, and 120-300 s trials, five of which
+outlive a pheromone waypoint and prune it.  Three llm cases choose an
+at-centre action that cannot execute, so the choice degrades to
+uninformed search, and one policy raises on every decision, so each
+falls back to the cascade with a POLICY_ERROR.
 
 A changed hash means the simulator now behaves differently.  That is a
-behaviour change to be declared as one; never edit a hash to get green.
+behaviour change to be declared as one; never edit a recorded value to
+get green.
 """
 import hashlib
 
@@ -18,6 +23,7 @@ from swarmforage.core import Arena, DEFAULT_PARAMS
 from swarmforage.engine import TrialConfig, run_trial
 from swarmforage.gateway import GatewayConfig
 from swarmforage.layouts import Distribution, LayoutSpec
+from swarmforage.policy import DecisionPolicy
 from swarmforage.tuner import sample_genome
 
 _draws = np.random.default_rng(20260418)
@@ -55,16 +61,67 @@ CASES = [
      _mock("scripted", 5.0), "64c5bc0249e27f7500b7c3a8cf4b0838592e3231a9b4efc137b6e9bf3085df62"),
     ("llm-held-invalid-powerlaw", "llm", GENOME_A, "powerlaw", 64, 6.0, 3, 180.0, 12,
      _mock("always_invalid", 1.5), "d04f24243954e8118cdd141e92ef94f987d73136f549252f44e5893db2b1d461"),
+    ("llm-degraded-pheromone-held-random", "llm", DEFAULT_PARAMS, "random", 8, 8.0, 3, 300.0, 26,
+     _mock("fixed:FOLLOW_PHEROMONE", 2.0),
+     "bc603cae36a19001431c59546b94666e2af05008de65873cf00d768f6d584351"),
+    ("llm-degraded-pheromone-held-sparse", "llm", DEFAULT_PARAMS, "random", 4, 10.0, 3, 300.0, 19,
+     _mock("fixed:FOLLOW_PHEROMONE", 2.0),
+     "f320da6fa7aa29782bd685cdfc2731af1d8dd9c37ad694a8eb5119ecfca6995f"),
+    ("llm-degraded-fidelity-sparse", "llm", DEFAULT_PARAMS, "random", 4, 10.0, 3, 300.0, 19,
+     _mock("fixed:USE_SITE_FIDELITY", None),
+     "eba844bb8b9fe5189f62534d1f1084919fa64fa7e5ee1d4c0db03e8e392c931c"),
+    ("policy-error-clustered", "scripted", DEFAULT_PARAMS, "clustered", 64, 6.0, 3, 240.0, 16,
+     None, "ace90dd83855143af1b22fca072e6e395f61eb765350e863d717580983ad5167"),
 ]
+
+# name -> (deposits, llm_calls, llm_fallbacks, outcome_counts, latency_samples)
+FIGURES = {
+    "cascade-default-clustered": (2, 0, 0, {}, []),
+    "cascade-default-powerlaw-t10": (7, 0, 0, {}, []),
+    "cascade-default-random": (5, 0, 0, {}, []),
+    "cascade-genome-a-powerlaw": (1, 0, 0, {}, []),
+    "cascade-genome-b-clustered-t10": (1, 0, 0, {}, []),
+    "scripted-clustered": (3, 0, 0, {}, []),
+    "scripted-random-t10": (13, 0, 0, {}, []),
+    "uninformed-powerlaw": (21, 0, 0, {}, []),
+    "uninformed-clustered-t10": (16, 0, 0, {}, []),
+    "llm-held-clustered": (3, 5, 0, {"ok": 5}, [2.0] * 5),
+    "llm-held-random-t10": (3, 36, 0, {"ok": 36}, [5.0] * 36),
+    "llm-held-invalid-powerlaw": (12, 13, 13, {"out_of_whitelist": 13}, [1.5] * 13),
+    "llm-degraded-pheromone-held-random":
+        (8, 19, 11, {"ok": 8, "out_of_whitelist": 11}, [2.0] * 19),
+    "llm-degraded-pheromone-held-sparse":
+        (2, 22, 19, {"out_of_whitelist": 19, "ok": 3}, [2.0] * 22),
+    "llm-degraded-fidelity-sparse":
+        (3, 21, 17, {"out_of_whitelist": 17, "ok": 4}, [0.0] * 21),
+    "policy-error-clustered": (15, 0, 0, {}, []),
+}
+
+
+class _RaisingPolicy(DecisionPolicy):
+    """Raises on every decision, so the controller falls back each time."""
+
+    def decide(self, event):
+        raise RuntimeError(f"no answer for {event.robot_id}")
+
+
+# Cases that replace the named policy with their own, one per robot.
+POLICY_FACTORIES = {
+    "policy-error-clustered": lambda index: _RaisingPolicy(),
+}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_log_bytes_match_the_golden_hash(case):
-    _, policy, params, dist, count, side, team, duration, seed, gateway, expected = case
+    name, policy, params, dist, count, side, team, duration, seed, gateway, expected = case
     arena = Arena.square(side)
     config = TrialConfig(
         arena=arena, team_size=team,
         layout=LayoutSpec(Distribution(dist), count, arena, seed=seed),
         params=params, policy=policy, duration=duration, seed=seed, gateway=gateway,
     )
-    assert hashlib.sha256(run_trial(config).log_bytes()).hexdigest() == expected
+    result = run_trial(config, policy_factory=POLICY_FACTORIES.get(name))
+    assert hashlib.sha256(result.log_bytes()).hexdigest() == expected
+    figures = (result.deposits, result.llm_calls, result.llm_fallbacks,
+               result.outcome_counts, result.latency_samples)
+    assert figures == FIGURES[name]

@@ -164,9 +164,9 @@ class TestPolicies:
 
     def test_make_policy_selectors(self):
         rng = np.random.default_rng(0)
-        assert make_policy("cascade", DEFAULT_PARAMS, rng).name == "cascade"
-        assert make_policy("scripted", DEFAULT_PARAMS, rng).name == "scripted"
-        assert make_policy("uninformed", DEFAULT_PARAMS, rng).name == "fixed"
+        assert isinstance(make_policy("cascade", DEFAULT_PARAMS, rng), CascadePolicy)
+        assert isinstance(make_policy("scripted", DEFAULT_PARAMS, rng), ScriptedPolicy)
+        assert isinstance(make_policy("uninformed", DEFAULT_PARAMS, rng), FixedActionPolicy)
         with pytest.raises(ValueError):
             make_policy("llm", DEFAULT_PARAMS, rng)  # needs a client
         with pytest.raises(ValueError):
