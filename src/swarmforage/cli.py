@@ -15,7 +15,7 @@ import time
 
 from .core import Arena, DEFAULT_PARAMS, load_params, save_params
 from .engine import POLICY_NAMES, TrialConfig, run_trial
-from .gateway import MODES, REASONING_EFFORTS, GatewayConfig, mock_behavior, mock_serve
+from .gateway import MODES, REASONING_EFFORTS, GatewayConfig, MockLlmServer, mock_behavior
 from .harness import (
     GridSpec,
     emit_boxplot_data,
@@ -120,14 +120,7 @@ def _cmd_run_trial(args) -> int:
     if args.log:
         with open(args.log, "wb") as fh:
             fh.write(result.log_bytes())
-    report = {
-        "deposits": result.deposits,
-        "llm_calls": result.llm_calls,
-        "llm_fallbacks": result.llm_fallbacks,
-        "latency_mean": result.latency_mean,
-        "settings": result.settings,
-    }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(result.report(), indent=2))
     return 0
 
 
@@ -235,7 +228,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_mock_llm_serve(args) -> int:
-    server = mock_serve(args.behavior, port=args.port)
+    server = MockLlmServer(args.behavior, port=args.port).start()
     print(f"mock endpoint ({args.behavior}) listening on {server.base_url}")
     try:
         while True:

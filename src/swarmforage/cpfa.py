@@ -242,8 +242,9 @@ def _log_decision(robot: Robot, world, event: DecisionEvent, decision: PolicyDec
 
 
 def _decide(robot: Robot, world, policy, event_type: EventType) -> None:
-    """One decision point: build the event, ask the policy, then act at
-    once or, for an LLM call under injected latency, hold until it lands.
+    """One decision point: build the event, ask the policy, run the
+    cascade if it deferred or failed, then act at once or, for an LLM
+    call under injected latency, hold until it lands.
 
     A starvation decision is logged when decided; an at-centre decision
     when acted on, so the log shows any degrade.
@@ -254,14 +255,16 @@ def _decide(robot: Robot, world, policy, event_type: EventType) -> None:
         robot._set_state(world, FsmState.AT_CENTER)
     try:
         decision = policy.decide(event)
-        if decision.action.value not in event.allowed_actions:
+        if decision.action is not None and decision.action.value not in event.allowed_actions:
             raise ValueError(f"{decision.action.value} is not an allowed action here")
     except FatalPolicyError:
         raise
     except Exception as exc:  # the controller never stalls on a policy failure
-        action = fallback_decide(event, robot.params, world.streams.policy(robot.index))
-        decision = PolicyDecision(action=action, source="fallback", fallback_reason="policy_error")
+        decision = PolicyDecision(action=None, source="fallback", fallback_reason="policy_error")
         world.log(robot, "POLICY_ERROR", {"error": str(exc)})
+    if decision.action is None:
+        action = fallback_decide(event, robot.params, world.streams.policy(robot.index))
+        decision = dataclasses.replace(decision, action=action)
     world.record_decision(decision)
     if starvation:
         _log_decision(robot, world, event, decision)

@@ -24,7 +24,7 @@ from .core import (
     pheromone_strength,
 )
 from .cpfa import Robot
-from .gateway import GatewayConfig, LlmClient, LlmPolicy
+from .gateway import GatewayConfig, LlmClient
 from .kinematics import MotionLimits, RobotPose, apply_yield, wrap_angle
 from .layouts import LayoutSpec, ResourceField, generate
 from .policy import CascadePolicy, DecisionPolicy, FixedActionPolicy, ScriptedPolicy
@@ -84,6 +84,11 @@ class TrialResult:
     def latency_mean(self) -> Optional[float]:
         """Mean LLM call latency in seconds; None when no call was timed."""
         return float(np.mean(self.latency_samples)) if self.latency_samples else None
+
+    def report(self) -> dict:
+        """The trial's figures as a store row and ``run-trial`` give them."""
+        return {key: getattr(self, key) for key in
+                ("deposits", "llm_calls", "llm_fallbacks", "latency_mean", "settings")}
 
 
 class PheromoneManager:
@@ -151,12 +156,12 @@ class World:
         self.injected_latency = getattr(config.gateway, "injected_latency", None)
 
         if policy_factory is None:
-            # one client per trial, shared by every robot's llm policy
+            # one client per trial, shared by every robot as its llm policy
             client = (LlmClient(config.gateway)
                       if config.policy == "llm" and config.gateway is not None else None)
 
             def policy_factory(index: int):
-                return make_policy(config.policy, config.params, self.streams.policy(index), client)
+                return make_policy(config.policy, client)
 
         spawn_radius = config.arena.center_zone_radius + SPAWN_RING_MARGIN
         self.robots = []
@@ -318,16 +323,11 @@ def run_trial(config: TrialConfig, resources: ResourceField | None = None,
     return world.run()
 
 
-def make_policy(
-    selector: str,
-    params: CpfaParams,
-    rng: np.random.Generator,
-    client: Optional[LlmClient] = None,
-) -> DecisionPolicy:
-    """Build the policy named by ``selector`` for one robot; ``llm`` needs
+def make_policy(selector: str, client: Optional[LlmClient] = None) -> DecisionPolicy:
+    """Build the policy named by ``selector`` for one robot; ``llm`` is
     the trial's gateway client."""
     if selector == "cascade":
-        return CascadePolicy(params, rng)
+        return CascadePolicy()
     if selector == "scripted":
         return ScriptedPolicy()
     if selector == "uninformed":
@@ -335,5 +335,5 @@ def make_policy(
     if selector == "llm":
         if client is None:
             raise ValueError("policy 'llm' requires a gateway config")
-        return LlmPolicy(client, params, rng)
+        return client
     raise ValueError(f"unknown policy {selector!r}; expected one of {POLICY_NAMES}")

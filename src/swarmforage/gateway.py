@@ -5,8 +5,8 @@ an in-process mock (no sockets at all), record (live calls appended to a
 cassette), and replay (cassette lookups, byte-faithful).  A small local
 HTTP server reproducing the endpoint shape is included for integration
 tests; it answers from a mock behaviour, and ``replay`` is the one way to
-answer from a cassette.  ``LlmPolicy`` is the decision policy that speaks
-this protocol and falls back to the cascade on any failure.
+answer from a cassette.  ``LlmClient`` is the decision policy that speaks
+this protocol and defers to the cascade on any failure.
 """
 from __future__ import annotations
 
@@ -19,20 +19,17 @@ from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-import numpy as np
 import requests
 
-from .core import CpfaParams, FatalPolicyError
+from .core import FatalPolicyError
 from .policy import (
     DecisionEvent,
     DecisionPolicy,
     DecisionResponse,
     EventType,
-    FallbackSignal,
     PolicyDecision,
-    fallback_decide,
+    TacticalAction,
     scripted_decide,
-    validate,
 )
 
 PROMPT_VERSION = "1"
@@ -95,7 +92,7 @@ class CallRecord:
     response: Optional[str]
     error: Optional[str]
     latency: float
-    outcome: str  # ok | timeout | parse_error | out_of_whitelist
+    outcome: str  # ok | parse_error | out_of_whitelist | the GatewayResult error
     prompt_version: str = PROMPT_VERSION
 
 
@@ -126,11 +123,12 @@ def request_key(request: dict) -> str:
     return hashlib.sha256(json.dumps(request, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def parse_response(body: Optional[str]) -> DecisionResponse | FallbackSignal:
+def parse_response(body: Optional[str]) -> Optional[DecisionResponse]:
     """Extract the first JSON object carrying both ``action`` and
-    ``rationale``, tolerating surrounding prose and markdown fences."""
+    ``rationale``, tolerating surrounding prose and markdown fences;
+    None when there is none."""
     if not body:
-        return FallbackSignal("parse_error")
+        return None
     decoder = json.JSONDecoder()
     idx = body.find("{")
     while idx != -1:
@@ -142,7 +140,7 @@ def parse_response(body: Optional[str]) -> DecisionResponse | FallbackSignal:
         if isinstance(obj, dict) and "action" in obj and "rationale" in obj:
             return DecisionResponse(action=str(obj["action"]), rationale=str(obj["rationale"]))
         idx = body.find("{", idx + 1)
-    return FallbackSignal("parse_error")
+    return None
 
 
 def event_from_payload(doc: dict) -> DecisionEvent:
@@ -222,8 +220,10 @@ class Cassette:
         return sum(len(v) for v in self._by_key.values())
 
 
-class LlmClient:
-    """One connection to the decision endpoint, shared by a trial's robots."""
+class LlmClient(DecisionPolicy):
+    """The llm policy: one connection to the decision endpoint, shared by
+    a trial's robots.  A failed call, an unparseable reply or an action
+    outside the whitelist defers to the cascade, with the reason."""
 
     def __init__(self, config: GatewayConfig):
         self.config = config
@@ -246,10 +246,16 @@ class LlmClient:
             return GatewayResult(body=entry["response"], latency=entry["latency"], error=entry["error"])
         return self._http_call(request)
 
-    def finish_call(self, event: DecisionEvent, request: dict, result: GatewayResult,
-                    outcome: str) -> None:
-        """In record mode, append one call to the cassette once validation
-        decided its outcome."""
+    def decide(self, event: DecisionEvent) -> PolicyDecision:
+        request = build_prompt(event)
+        result = self.call(request)
+        reason = result.error
+        if reason is None:
+            response = parse_response(result.body)
+            if response is None:
+                reason = "parse_error"
+            elif response.action not in event.allowed_actions:
+                reason = "out_of_whitelist"
         if self.config.mode == "record":
             self.cassette.append(CallRecord(
                 robot_id=event.robot_id,
@@ -258,8 +264,15 @@ class LlmClient:
                 response=result.body,
                 error=result.error,
                 latency=result.latency,
-                outcome=outcome,
+                outcome=reason or "ok",
             ))
+        if reason is None:
+            answer = dict(action=TacticalAction(response.action), source="llm",
+                          rationale=response.rationale)
+        else:
+            answer = dict(action=None, source="fallback", fallback_reason=reason)
+        return PolicyDecision(**answer, latency=result.latency,
+                              request_body=request, response_body=result.body)
 
     def _http_call(self, request: dict) -> GatewayResult:
         cfg = self.config
@@ -291,30 +304,6 @@ class LlmClient:
         except Exception:
             content = resp.text
         return GatewayResult(body=content, latency=latency)
-
-
-class LlmPolicy(DecisionPolicy):
-    """Queries an LLM endpoint through the gateway; cascade on failure."""
-
-    def __init__(self, client: LlmClient, params: CpfaParams, rng: np.random.Generator):
-        self.client = client
-        self.params = params
-        self.rng = rng
-
-    def decide(self, event: DecisionEvent) -> PolicyDecision:
-        request = build_prompt(event)
-        result = self.client.call(request)
-        raw = FallbackSignal("timeout") if result.error is not None else parse_response(result.body)
-        validated = validate(raw, event)
-        if isinstance(validated, FallbackSignal):
-            action = fallback_decide(event, self.params, self.rng)
-            source, rationale, reason = "fallback", None, validated.reason
-        else:
-            action, source, rationale, reason = validated, "llm", raw.rationale, None
-        self.client.finish_call(event, request, result, reason or "ok")
-        return PolicyDecision(action=action, source=source, rationale=rationale,
-                              fallback_reason=reason, latency=result.latency,
-                              request_body=request, response_body=result.body)
 
 
 class MockLlmServer:
@@ -375,8 +364,3 @@ class MockLlmServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def mock_serve(behavior: str, port: int = 0, **kwargs) -> MockLlmServer:
-    """Start a local mock endpoint; raises if the port is taken."""
-    return MockLlmServer(behavior=behavior, port=port, **kwargs).start()

@@ -126,11 +126,7 @@ def _job_row(job: GridJob, log_dir: str) -> dict:
         "distribution": dist,
         "trial": job.trial_index,
         "policy": job.policy,
-        "deposits": result.deposits,
-        "llm_calls": result.llm_calls,
-        "llm_fallbacks": result.llm_fallbacks,
-        "latency_mean": result.latency_mean,
-        "settings": result.settings,
+        **result.report(),
     }
 
 

@@ -5,8 +5,9 @@ searches too long without success builds a DecisionEvent from its own
 local state plus the shared pheromone manager and asks its policy for an
 action.  Policies are interchangeable: the parameter-driven cascade, a
 deterministic scripted heuristic, or a fixed-action stand-in.  The
-LLM-backed policy, which falls back to the cascade on any failure, lives
-beside its transport in ``gateway``.
+LLM-backed policy, which falls back to the cascade on any failure, is
+the gateway's client.  A policy that does not answer defers to the
+cascade, which the controller runs on the robot's policy stream.
 """
 from __future__ import annotations
 
@@ -103,24 +104,6 @@ class DecisionResponse:
     rationale: str
 
 
-@dataclass(frozen=True)
-class FallbackSignal:
-    """Marks a decision that must revert to the parameter-driven cascade."""
-
-    reason: str  # "timeout" | "parse_error" | "out_of_whitelist"
-
-
-def validate(
-    raw: DecisionResponse | FallbackSignal, event: DecisionEvent
-) -> TacticalAction | FallbackSignal:
-    """Whitelist check: exact, case-sensitive membership."""
-    if isinstance(raw, FallbackSignal):
-        return raw
-    if raw.action in event.allowed_actions:
-        return TacticalAction(raw.action)
-    return FallbackSignal("out_of_whitelist")
-
-
 def cascade_post_deposit(
     fidelity: bool, density: int, pheromones_active: int,
     params: CpfaParams, rng: np.random.Generator,
@@ -148,7 +131,7 @@ def should_give_up(params: CpfaParams, rng: np.random.Generator) -> bool:
 def fallback_decide(
     event: DecisionEvent, params: CpfaParams, rng: np.random.Generator
 ) -> TacticalAction:
-    """The cascade choice for an event whose primary policy failed."""
+    """The cascade choice for an event no policy answered."""
     if event.event_type is EventType.SEARCH_STARVATION:
         if should_give_up(params, rng):
             return TacticalAction.RETURN_FOR_INFO
@@ -207,7 +190,7 @@ def scripted_decide(event: DecisionEvent) -> DecisionResponse:
 class PolicyDecision:
     """What a policy chose and how, for logging and metric accounting."""
 
-    action: TacticalAction
+    action: Optional[TacticalAction]  # None defers to the cascade
     source: str  # cascade | llm | scripted | fallback
     rationale: Optional[str] = None
     fallback_reason: Optional[str] = None
@@ -222,7 +205,13 @@ class PolicyDecision:
 
 
 class DecisionPolicy:
-    """Base class; subclasses answer the three decision-point events."""
+    """Base class; subclasses answer the three decision-point events.
+
+    ``decide`` answers an action from ``event.allowed_actions``, or
+    ``None`` to defer to the cascade.  Any other action, or an exception,
+    is a policy error: the decision falls back to the cascade and the
+    error is logged.
+    """
 
     # True when the time-triggered starvation decision replaces the
     # per-tick give-up probability p_r.
@@ -233,17 +222,12 @@ class DecisionPolicy:
 
 
 class CascadePolicy(DecisionPolicy):
-    """Vanilla parameter-driven decisions; give-up stays with p_r."""
+    """Defers every decision to the vanilla cascade; give-up stays with p_r."""
 
     uses_starvation = False
 
-    def __init__(self, params: CpfaParams, rng: np.random.Generator):
-        self.params = params
-        self.rng = rng
-
     def decide(self, event: DecisionEvent) -> PolicyDecision:
-        action = fallback_decide(event, self.params, self.rng)
-        return PolicyDecision(action=action, source="cascade")
+        return PolicyDecision(action=None, source="cascade")
 
 
 class ScriptedPolicy(DecisionPolicy):
@@ -251,9 +235,8 @@ class ScriptedPolicy(DecisionPolicy):
 
     def decide(self, event: DecisionEvent) -> PolicyDecision:
         response = scripted_decide(event)
-        validated = validate(response, event)
-        assert isinstance(validated, TacticalAction)
-        return PolicyDecision(action=validated, source="scripted", rationale=response.rationale)
+        return PolicyDecision(action=TacticalAction(response.action), source="scripted",
+                              rationale=response.rationale)
 
 
 class FixedActionPolicy(DecisionPolicy):

@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -12,11 +13,11 @@ from swarmforage.gateway import (
     Cassette,
     CassetteMissError,
     GatewayConfig,
+    GatewayResult,
     LlmClient,
     MockLlmServer,
     build_prompt,
     mock_content_for,
-    mock_serve,
     parse_response,
     request_key,
 )
@@ -25,7 +26,6 @@ from swarmforage.policy import (
     DecisionEvent,
     DecisionResponse,
     EventType,
-    FallbackSignal,
     build_whitelist,
 )
 
@@ -113,7 +113,7 @@ class TestParseResponse:
             "{'action': 'A', 'rationale': 'r'}",  # not JSON
         ]
         for body in bad:
-            assert parse_response(body) == FallbackSignal("parse_error"), body
+            assert parse_response(body) is None, body
 
     def test_first_complete_object_wins(self):
         body = ('{"action": "FIRST", "rationale": "one"} '
@@ -182,7 +182,7 @@ class TestGatewayConfig:
 
 class TestMockServer:
     def test_scripted_over_http(self):
-        with mock_serve("scripted", port=0) as server:
+        with MockLlmServer("scripted", port=0).start() as server:
             config = GatewayConfig(mode="live", base_url=server.base_url, timeout=5.0)
             client = LlmClient(config)
             result = client.call(build_prompt(sample_event()))
@@ -190,7 +190,7 @@ class TestMockServer:
             assert json.loads(result.body)["action"] == "USE_SITE_FIDELITY"
 
     def test_always_invalid_over_http(self):
-        with mock_serve("always_invalid", port=0) as server:
+        with MockLlmServer("always_invalid", port=0).start() as server:
             config = GatewayConfig(mode="live", base_url=server.base_url, timeout=5.0)
             result = LlmClient(config).call(build_prompt(sample_event()))
             assert json.loads(result.body)["action"] == "GO_HOME"
@@ -237,10 +237,10 @@ class TestMockServer:
         assert result.error in ("connection_error", "timeout")
 
     def test_port_in_use_raises(self):
-        server = mock_serve("scripted", port=0)
+        server = MockLlmServer("scripted", port=0).start()
         try:
             with pytest.raises(OSError):
-                mock_serve("scripted", port=server.port)
+                MockLlmServer("scripted", port=server.port).start()
         finally:
             server.stop()
 
@@ -248,7 +248,7 @@ class TestMockServer:
 class TestCassette:
     def test_record_then_replay_trial_is_byte_identical(self, tmp_path):
         cassette = str(tmp_path / "cassette.jsonl")
-        server = mock_serve("scripted", port=0)
+        server = MockLlmServer("scripted", port=0).start()
         try:
             record_cfg = GatewayConfig(mode="record", base_url=server.base_url,
                                        timeout=5.0, cassette_path=cassette)
@@ -318,3 +318,21 @@ class TestMetricsConservation:
         assert result.llm_fallbacks == result.llm_calls
         assert set(result.outcome_counts) == {"out_of_whitelist"}
 
+
+class TestFallbackReasons:
+    def test_closed_port_falls_back_as_connection_error(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))  # bound but not listening: connections are refused
+            base_url = f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+            config = GatewayConfig(mode="live", base_url=base_url, timeout=1.0)
+            result = run_trial(llm_trial_config(config, duration=120.0))
+        assert result.llm_calls > 0
+        assert set(result.outcome_counts) == {"connection_error"}
+
+    def test_http_error_names_its_status(self, monkeypatch):
+        monkeypatch.setattr(LlmClient, "call",
+                            lambda self, request: GatewayResult(body=None, latency=0.1,
+                                                                error="http_503"))
+        decision = LlmClient(GatewayConfig(mode="live")).decide(sample_event())
+        assert (decision.action, decision.source) == (None, "fallback")
+        assert decision.fallback_reason == "http_503"

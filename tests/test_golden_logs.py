@@ -7,8 +7,10 @@ injected latency so decisions are held), all three layouts, team sizes
 3 and 10, two sampled genomes, and 120-300 s trials, five of which
 outlive a pheromone waypoint and prune it.  Three llm cases choose an
 at-centre action that cannot execute, so the choice degrades to
-uninformed search, and one policy raises on every decision, so each
-falls back to the cascade with a POLICY_ERROR.
+uninformed search.  In two llm cases every call falls back to the
+cascade: one times out, and one gets a reply with no JSON in it.  In
+one case the policy raises on every decision, so each falls back to the
+cascade with a POLICY_ERROR.
 
 A changed hash means the simulator now behaves differently.  That is a
 behaviour change to be declared as one; never edit a recorded value to
@@ -19,6 +21,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from swarmforage import gateway
 from swarmforage.core import Arena, DEFAULT_PARAMS
 from swarmforage.engine import TrialConfig, run_trial
 from swarmforage.gateway import GatewayConfig
@@ -70,6 +73,11 @@ CASES = [
     ("llm-degraded-fidelity-sparse", "llm", DEFAULT_PARAMS, "random", 4, 10.0, 3, 300.0, 19,
      _mock("fixed:USE_SITE_FIDELITY", None),
      "eba844bb8b9fe5189f62534d1f1084919fa64fa7e5ee1d4c0db03e8e392c931c"),
+    ("llm-timeout-held-clustered", "llm", DEFAULT_PARAMS, "clustered", 64, 6.0, 3, 240.0, 30,
+     _mock("always_timeout", 2.0),
+     "ded45b71589110afa292719b25af1e64ea3f83edf38940e1852940936c2773d9"),
+    ("llm-parse-error-held-powerlaw", "llm", DEFAULT_PARAMS, "powerlaw", 64, 6.0, 3, 240.0, 31,
+     _mock("scripted", 1.0), "b85460ad4c51ff1e39acfab6606445219a2241fa7ae360a68a15fdb32a6a6d33"),
     ("policy-error-clustered", "scripted", DEFAULT_PARAMS, "clustered", 64, 6.0, 3, 240.0, 16,
      None, "ace90dd83855143af1b22fca072e6e395f61eb765350e863d717580983ad5167"),
 ]
@@ -94,6 +102,8 @@ FIGURES = {
         (2, 22, 19, {"out_of_whitelist": 19, "ok": 3}, [2.0] * 22),
     "llm-degraded-fidelity-sparse":
         (3, 21, 17, {"out_of_whitelist": 17, "ok": 4}, [0.0] * 21),
+    "llm-timeout-held-clustered": (11, 17, 17, {"timeout": 17}, [30.0] * 17),
+    "llm-parse-error-held-powerlaw": (3, 3, 3, {"parse_error": 3}, [1.0] * 3),
     "policy-error-clustered": (15, 0, 0, {}, []),
 }
 
@@ -110,15 +120,21 @@ POLICY_FACTORIES = {
     "policy-error-clustered": lambda index: _RaisingPolicy(),
 }
 
+# Cases whose mock endpoint replies in prose with no JSON object.
+PROSE_REPLIES = {"llm-parse-error-held-powerlaw"}
+
 
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
-def test_log_bytes_match_the_golden_hash(case):
-    name, policy, params, dist, count, side, team, duration, seed, gateway, expected = case
+def test_log_bytes_match_the_golden_hash(case, monkeypatch):
+    name, policy, params, dist, count, side, team, duration, seed, gateway_config, expected = case
+    if name in PROSE_REPLIES:
+        monkeypatch.setattr(gateway, "mock_content_for",
+                            lambda behavior, request: "I think you should explore")
     arena = Arena.square(side)
     config = TrialConfig(
         arena=arena, team_size=team,
         layout=LayoutSpec(Distribution(dist), count, arena, seed=seed),
-        params=params, policy=policy, duration=duration, seed=seed, gateway=gateway,
+        params=params, policy=policy, duration=duration, seed=seed, gateway=gateway_config,
     )
     result = run_trial(config, policy_factory=POLICY_FACTORIES.get(name))
     assert hashlib.sha256(result.log_bytes()).hexdigest() == expected

@@ -5,19 +5,17 @@ import pytest
 
 from swarmforage.core import DEFAULT_PARAMS, CpfaParams
 from swarmforage.engine import make_policy
+from swarmforage.gateway import GatewayConfig, LlmClient
 from swarmforage.policy import (
     CascadePolicy,
     DecisionEvent,
-    DecisionResponse,
     EventType,
-    FallbackSignal,
     FixedActionPolicy,
     ScriptedPolicy,
     TacticalAction,
     build_whitelist,
     fallback_decide,
     scripted_decide,
-    validate,
 )
 
 
@@ -61,27 +59,32 @@ class TestWhitelists:
         assert a == b
 
 
+def llm_decide(behavior):
+    """The llm policy's decision on make_event() from a mock endpoint."""
+    return LlmClient(GatewayConfig(mode="mock", mock_behavior=behavior)).decide(make_event())
+
+
 class TestValidate:
     def test_accepts_exact_member(self):
-        event = make_event()
-        out = validate(DecisionResponse("USE_SITE_FIDELITY", "ok"), event)
-        assert out is TacticalAction.USE_SITE_FIDELITY
+        decision = llm_decide("fixed:USE_SITE_FIDELITY")
+        assert decision.action is TacticalAction.USE_SITE_FIDELITY
+        assert decision.source == "llm"
 
     def test_rejects_unknown_action(self):
-        out = validate(DecisionResponse("GO_HOME", "?"), make_event())
-        assert out == FallbackSignal("out_of_whitelist")
+        decision = llm_decide("fixed:GO_HOME")
+        assert (decision.action, decision.fallback_reason) == (None, "out_of_whitelist")
 
     def test_rejects_wrong_event_family(self):
-        out = validate(DecisionResponse("CONTINUE_SEARCH", "?"), make_event())
-        assert out == FallbackSignal("out_of_whitelist")
+        decision = llm_decide("fixed:CONTINUE_SEARCH")
+        assert (decision.action, decision.fallback_reason) == (None, "out_of_whitelist")
 
     def test_case_sensitive_by_default(self):
-        out = validate(DecisionResponse("use_site_fidelity", "?"), make_event())
-        assert out == FallbackSignal("out_of_whitelist")
+        decision = llm_decide("fixed:use_site_fidelity")
+        assert (decision.action, decision.fallback_reason) == (None, "out_of_whitelist")
 
     def test_passes_through_gateway_failures(self):
-        out = validate(FallbackSignal("timeout"), make_event())
-        assert out == FallbackSignal("timeout")
+        decision = llm_decide("always_timeout")
+        assert (decision.action, decision.fallback_reason) == (None, "timeout")
 
 
 class TestFallbackDecide:
@@ -143,7 +146,7 @@ class TestScripted:
 
 class TestPolicies:
     def test_cascade_policy_sources(self):
-        policy = CascadePolicy(DEFAULT_PARAMS, np.random.default_rng(0))
+        policy = CascadePolicy()
         decision = policy.decide(make_event())
         assert decision.source == "cascade"
         assert not decision.llm_call
@@ -163,14 +166,13 @@ class TestPolicies:
         assert policy.decide(starve).action is TacticalAction.RETURN_FOR_INFO
 
     def test_make_policy_selectors(self):
-        rng = np.random.default_rng(0)
-        assert isinstance(make_policy("cascade", DEFAULT_PARAMS, rng), CascadePolicy)
-        assert isinstance(make_policy("scripted", DEFAULT_PARAMS, rng), ScriptedPolicy)
-        assert isinstance(make_policy("uninformed", DEFAULT_PARAMS, rng), FixedActionPolicy)
+        assert isinstance(make_policy("cascade"), CascadePolicy)
+        assert isinstance(make_policy("scripted"), ScriptedPolicy)
+        assert isinstance(make_policy("uninformed"), FixedActionPolicy)
         with pytest.raises(ValueError):
-            make_policy("llm", DEFAULT_PARAMS, rng)  # needs a client
+            make_policy("llm")  # needs a client
         with pytest.raises(ValueError):
-            make_policy("alien", DEFAULT_PARAMS, rng)
+            make_policy("alien")
 
 
 class TestEventPayload:
