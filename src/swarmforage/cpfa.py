@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import SIGMA_MAX, CpfaParams, FatalPolicyError, poisson_cdf
-from .kinematics import YIELD_TURN_RAD, RobotPose, move_toward, wrap_angle
+from .kinematics import YIELD_TURN_RAD, RobotPose, clamp_to_walls, move_toward, wrap_angle
 from .policy import (
     DecisionEvent,
     EventType,
@@ -51,7 +51,11 @@ class FsmState(enum.Enum):
     AT_CENTER = "AT_CENTER"
 
 
+# Module-level, as looking a member up on the enum class is slow per step.
 SEARCHING_STATES = (FsmState.SEARCHING_UNINFORMED, FsmState.SEARCHING_INFORMED)
+TRAVELING_STATES = (FsmState.TRAVELING_TO_SITE, FsmState.TRAVELING_TO_PHEROMONE)
+RETURNING_STATES = (FsmState.RETURNING_WITH_RESOURCE, FsmState.RETURNING_EMPTY)
+DISPERSING = FsmState.DISPERSING
 
 
 @dataclass
@@ -124,9 +128,6 @@ class Robot:
     def assign_disperse_target(self, world) -> None:
         self.target = world.sample_arena_point(self.rng)
 
-    def step(self, world, policy, gated: bool = False) -> FsmState:
-        return fsm_step(self, world, policy, gated)
-
     # -- internals ----------------------------------------------------------
 
     def _set_state(self, world, new_state: FsmState) -> None:
@@ -171,7 +172,7 @@ def _search_drive(robot: Robot, world, gated: bool) -> None:
     h = robot.pose.heading
     nx = robot.pose.x + lim.linear_speed * lim.dt * math.cos(h)
     ny = robot.pose.y + lim.linear_speed * lim.dt * math.sin(h)
-    cx, cy, clamped = world.clamp_to_walls(nx, ny)
+    cx, cy, clamped = clamp_to_walls(nx, ny, world.arena.half_width)
     if clamped:
         if cx != nx:
             h = wrap_angle(math.pi - h)
@@ -186,22 +187,22 @@ def _search_drive(robot: Robot, world, gated: bool) -> None:
 def _travel_drive(robot: Robot, world, gated: bool) -> bool:
     """One step toward the current target; True once within tolerance."""
     lim = world.limits
+    pose = robot.pose
     tx, ty = robot.target
-    if math.hypot(tx - robot.pose.x, ty - robot.pose.y) <= lim.arrival_tolerance:
+    if math.hypot(tx - pose.x, ty - pose.y) <= lim.arrival_tolerance:
         return True
     if gated:
-        robot.pose.heading = wrap_angle(robot.pose.heading + YIELD_TURN_RAD)
+        pose.heading = wrap_angle(pose.heading + YIELD_TURN_RAD)
         return False
-    new_pose = move_toward(robot.pose, robot.target, lim)
-    cx, cy, clamped = world.clamp_to_walls(new_pose.x, new_pose.y)
-    if clamped and robot.state is FsmState.DISPERSING:
+    x, y, pose.heading = move_toward(pose, robot.target, lim)
+    cx, cy, clamped = clamp_to_walls(x, y, world.arena.half_width)
+    if clamped and robot.state is DISPERSING:
         # wall contact while heading to a random waypoint: pick a new one
         robot.assign_disperse_target(world)
     if not world.translation_allowed(robot, cx, cy):
-        cx, cy = robot.pose.x, robot.pose.y
-    robot.pose.x = cx
-    robot.pose.y = cy
-    robot.pose.heading = new_pose.heading
+        return False  # still where the arrival check above found it
+    pose.x = cx
+    pose.y = cy
     return math.hypot(tx - cx, ty - cy) <= lim.arrival_tolerance
 
 
@@ -218,7 +219,7 @@ def _build_event(robot: Robot, world, event_type: EventType) -> DecisionEvent:
         resource_density=mem.last_density,
         time_since_last_pickup=now - mem.last_pickup_time,
         last_pickup_location=mem.last_pickup_location,
-        active_pheromone_count=world.pheromones.count(now),
+        active_pheromone_count=world.pheromones.count(),
         pheromone_summary=world.pheromones.summary(now) if at_center else None,
         allowed_actions=tuple(build_whitelist(event_type)),
     )
@@ -318,7 +319,8 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
         _act(robot, world, event, decision)
         return robot.state
 
-    if robot.state in SEARCHING_STATES:
+    state = robot.state
+    if state in SEARCHING_STATES:
         if not robot.carrying:
             pickup = world.try_pickup(robot)
             if pickup is not None:
@@ -352,7 +354,7 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
         _search_drive(robot, world, gated)
         return robot.state
 
-    if robot.state is FsmState.DISPERSING:
+    if state is DISPERSING:
         if robot._tick_due(now) and should_switch_to_search(robot.params, robot.rng):
             robot._begin_search(world, informed=False)
             return robot.state
@@ -360,12 +362,12 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
             robot._begin_search(world, informed=False)
         return robot.state
 
-    if robot.state in (FsmState.TRAVELING_TO_SITE, FsmState.TRAVELING_TO_PHEROMONE):
+    if state in TRAVELING_STATES:
         if _travel_drive(robot, world, gated):
             robot._begin_search(world, informed=True)
         return robot.state
 
-    if robot.state in (FsmState.RETURNING_WITH_RESOURCE, FsmState.RETURNING_EMPTY):
+    if state in RETURNING_STATES:
         if math.hypot(robot.pose.x, robot.pose.y) > world.arena.center_zone_radius:
             _travel_drive(robot, world, gated)
         elif robot.carrying:

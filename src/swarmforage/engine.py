@@ -23,7 +23,7 @@ from .core import (
     RngStreams,
     pheromone_strength,
 )
-from .cpfa import Robot
+from . import cpfa
 from .gateway import GatewayConfig, LlmClient
 from .kinematics import MotionLimits, RobotPose, apply_yield, wrap_angle
 from .layouts import LayoutSpec, ResourceField, generate
@@ -33,6 +33,10 @@ from .policy import CascadePolicy, DecisionPolicy, FixedActionPolicy, ScriptedPo
 SPAWN_RING_MARGIN = 0.3
 # At-centre prompts carry at most this many waypoints.
 PHEROMONE_SUMMARY_CAP = 10
+# Each resource is filed under every pickup bucket that its pickup disc,
+# widened by this margin, overlaps.  The margin is far above rounding at
+# arena scale, so a resource in reach is always in the robot's bucket.
+PICKUP_BUCKET_MARGIN = 1e-6  # m
 
 POLICY_NAMES = ("cascade", "scripted", "uninformed", "llm")
 
@@ -97,7 +101,7 @@ class PheromoneManager:
 
     ``World.step`` prunes at the time the next step reads, so every
     waypoint a step sees is live and ``count`` and ``active`` need no
-    strength filter of their own.
+    strength filter of their own.  ``add`` appends in time order.
     """
 
     def __init__(self, decay_rate: float):
@@ -110,13 +114,23 @@ class PheromoneManager:
         return wp
 
     def prune(self, now: float) -> None:
-        """Drop waypoints decayed below the expiry threshold, order preserved."""
-        self.waypoints = [
-            w for w in self.waypoints
-            if pheromone_strength(w, now, self.decay_rate) >= PHEROMONE_EXPIRY_THRESHOLD
-        ]
+        """Drop waypoints decayed below the expiry threshold, order preserved.
 
-    def count(self, now: float) -> int:
+        At one decay rate strength falls with age, so a waypoint no older
+        than a live one is live and its strength is not computed.  In the
+        time order ``add`` keeps, that leaves the expired prefix and the
+        first live waypoint.
+        """
+        kept, oldest_live = [], math.inf
+        for w in self.waypoints:
+            if (w.created_at >= oldest_live or pheromone_strength(w, now, self.decay_rate)
+                    >= PHEROMONE_EXPIRY_THRESHOLD):
+                kept.append(w)
+                if w.created_at < oldest_live:
+                    oldest_live = w.created_at
+        self.waypoints = kept
+
+    def count(self) -> int:
         return len(self.waypoints)
 
     def active(self, now: float) -> list[tuple[PheromoneWaypoint, float]]:
@@ -147,8 +161,10 @@ class World:
         self.limits = MotionLimits()
         self.streams = RngStreams(config.seed)
         self.resources = resources if resources is not None else generate(config.layout)
+        self.pickup_buckets = pickup_buckets(self.resources.positions, self.limits.pickup_radius)
         self.pheromones = PheromoneManager(decay_rate=config.params.lambda_d)
         self.step_index = 0
+        self.t = 0.0  # step_index * dt, set by ``step``
         self.deposits = 0
         self.event_log: list = []
         self.latency_samples: list = []
@@ -171,7 +187,7 @@ class World:
             pose = RobotPose(
                 spawn_radius * math.cos(angle), spawn_radius * math.sin(angle), wrap_angle(angle)
             )
-            robot = Robot(index=i, pose=pose, rng=self.streams.robot(i), params=config.params)
+            robot = cpfa.Robot(index=i, pose=pose, rng=self.streams.robot(i), params=config.params)
             robot.assign_disperse_target(self)
             self.robots.append(robot)
             try:
@@ -179,18 +195,7 @@ class World:
             except Exception as exc:
                 raise TrialError(f"policy init failed for robot {i}: {exc}") from exc
 
-    # -- clock ------------------------------------------------------------
-
-    @property
-    def t(self) -> float:
-        return self.step_index * self.limits.dt
-
     # -- geometry ---------------------------------------------------------
-
-    def clamp_to_walls(self, x: float, y: float) -> tuple[float, float, bool]:
-        cx = max(-self.arena.half_width, min(self.arena.half_width, x))
-        cy = max(-self.arena.half_width, min(self.arena.half_width, y))
-        return cx, cy, (cx != x or cy != y)
 
     def sample_arena_point(self, rng: np.random.Generator) -> tuple[float, float]:
         """Uniform point in the arena outside the central zone."""
@@ -204,33 +209,40 @@ class World:
         """Reject a move that would end inside another robot's hard radius."""
         min_sep = 0.5 * self.limits.yield_radius
         for other in self.robots:
-            if other.index == robot.index:
-                continue
-            if math.hypot(other.pose.x - x, other.pose.y - y) < min_sep:
+            pose = other.pose
+            dx = pose.x - x
+            # a robot a whole radius away in x is at least that far away
+            if (-min_sep < dx < min_sep and other.index != robot.index
+                    and math.hypot(dx, pose.y - y) < min_sep):
                 return False
         return True
 
     # -- resource interactions ---------------------------------------------
 
     def try_pickup(self, robot) -> Optional[tuple[tuple[float, float], int]]:
-        """Pick the nearest unpicked resource inside the pickup disc.
+        """Pick the nearest unpicked resource inside the pickup disc, the
+        lowest index among equally near ones.
 
         Returns its location and the unpicked resources left within the
         density radius of it, or None when nothing is in reach.
         """
+        radius = self.limits.pickup_radius
+        x, y = robot.pose.x, robot.pose.y
+        bucket = self.pickup_buckets.get((math.floor(x / radius), math.floor(y / radius)))
+        if bucket is None:
+            return None
         res = self.resources
-        if len(res) == 0:
+        reach2 = radius**2
+        nearest = None
+        for i, px, py in bucket:  # in index order
+            dx = px - x
+            dy = py - y
+            d2 = dx * dx + dy * dy
+            if d2 <= reach2 and not res.picked[i] and (nearest is None or d2 < nearest[0]):
+                nearest = (d2, i)
+        if nearest is None:
             return None
-        free = ~res.picked
-        if not free.any():
-            return None
-        dx = res.positions[:, 0] - robot.pose.x
-        dy = res.positions[:, 1] - robot.pose.y
-        d2 = dx * dx + dy * dy
-        d2[~free] = np.inf
-        idx = int(np.argmin(d2))
-        if d2[idx] > self.limits.pickup_radius**2:
-            return None
+        idx = nearest[1]
         res.picked[idx] = True
         loc = (float(res.positions[idx, 0]), float(res.positions[idx, 1]))
         ndx = res.positions[:, 0] - loc[0]
@@ -271,9 +283,11 @@ class World:
 
     def step(self) -> None:
         gates = apply_yield([r.pose for r in self.robots], self.limits)
+        fsm_step = cpfa.fsm_step  # looked up per step, so a wrapper put there is seen
         for robot, policy, gated in zip(self.robots, self.policies, gates):
-            robot.step(self, policy, gated)
+            fsm_step(robot, self, policy, gated)
         self.step_index += 1
+        self.t = self.step_index * self.limits.dt
         self.pheromones.prune(self.t)
 
     def run(self) -> TrialResult:
@@ -314,6 +328,22 @@ class World:
             "pheromone_threshold": PHEROMONE_EXPIRY_THRESHOLD,
             "params": self.params.as_dict(),
         }
+
+
+def pickup_buckets(positions: np.ndarray, radius: float) -> dict:
+    """Resources by square bucket of side ``radius``: bucket ``(kx, ky)``
+    holds ``(index, x, y)``, in index order, of every resource within
+    ``radius`` of a point whose ``(floor(x / radius), floor(y / radius))``
+    is ``(kx, ky)``."""
+    reach = radius + PICKUP_BUCKET_MARGIN
+    buckets: dict = {}
+    for i, (px, py) in enumerate(positions.tolist()):
+        entry = (i, px, py)
+        for kx in range(math.floor((px - reach) / radius), math.floor((px + reach) / radius) + 1):
+            for ky in range(math.floor((py - reach) / radius),
+                            math.floor((py + reach) / radius) + 1):
+                buckets.setdefault((kx, ky), []).append(entry)
+    return buckets
 
 
 def run_trial(config: TrialConfig, resources: ResourceField | None = None,

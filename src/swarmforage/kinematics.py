@@ -2,6 +2,8 @@
 
 Every robot moves through these functions once per dt, so they are the
 simulator's hot kernel.  They know nothing of controllers or the world.
+Their fast paths give the same bits as the plain formulas; README.md
+("The hot kernel") gives the argument for each.
 """
 from __future__ import annotations
 
@@ -13,6 +15,9 @@ from dataclasses import dataclass
 HEADING_GATE_RAD = math.pi / 6.0
 # Fixed in-place turn applied to yield-gated robots to break deadlocks.
 YIELD_TURN_RAD = 0.1
+
+PI = math.pi
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -39,36 +44,55 @@ class MotionLimits:
 
 def wrap_angle(angle: float) -> float:
     """Wrap to [-pi, pi)."""
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
+    shifted = angle + PI
+    if 0.0 <= shifted < TWO_PI:  # fmod would return ``shifted`` itself
+        return shifted - PI
+    wrapped = math.fmod(shifted, TWO_PI)
     if wrapped < 0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+        wrapped += TWO_PI
+    return wrapped - PI
 
 
-def move_toward(pose: RobotPose, target: tuple[float, float], limits: MotionLimits) -> RobotPose:
-    """One dt of turn-then-drive motion toward ``target``.
+def clamp_to_walls(x: float, y: float, half_width: float) -> tuple[float, float, bool]:
+    """The point clamped into the square arena, and whether it moved."""
+    cx = (x if x > -half_width else -half_width) if x < half_width else half_width
+    cy = (y if y > -half_width else -half_width) if y < half_width else half_width
+    return cx, cy, (cx != x or cy != y)
+
+
+def move_toward(pose: RobotPose, target: tuple[float, float],
+                limits: MotionLimits) -> tuple[float, float, float]:
+    """One dt of turn-then-drive motion toward ``target``: the new
+    ``(x, y, heading)``.
 
     Heading rotates toward the bearing by at most angular_speed*dt; the
     robot translates only once the remaining heading error is inside the
     gate, and never overshoots the target.
     """
-    dx = target[0] - pose.x
-    dy = target[1] - pose.y
+    x, y, heading = pose.x, pose.y, pose.heading
+    dx = target[0] - x
+    dy = target[1] - y
     dist = math.hypot(dx, dy)
     if dist <= limits.arrival_tolerance:
-        return RobotPose(pose.x, pose.y, pose.heading)
+        return x, y, heading
     bearing = math.atan2(dy, dx)
-    error = wrap_angle(bearing - pose.heading)
+    # wrap_angle inlined: its fast path, else the call
+    shifted = bearing - heading + PI
+    error = shifted - PI if 0.0 <= shifted < TWO_PI else wrap_angle(bearing - heading)
     max_turn = limits.angular_speed * limits.dt
-    turn = max(-max_turn, min(max_turn, error))
-    heading = wrap_angle(pose.heading + turn)
-    remaining = wrap_angle(bearing - heading)
-    x, y = pose.x, pose.y
-    if abs(remaining) <= HEADING_GATE_RAD:
-        step = min(limits.linear_speed * limits.dt, dist)
+    # max(-max_turn, min(max_turn, error)), without the calls
+    turn = (error if error > -max_turn else -max_turn) if error < max_turn else max_turn
+    shifted = heading + turn + PI
+    heading = shifted - PI if 0.0 <= shifted < TWO_PI else wrap_angle(heading + turn)
+    shifted = bearing - heading + PI
+    remaining = shifted - PI if 0.0 <= shifted < TWO_PI else wrap_angle(bearing - heading)
+    if -HEADING_GATE_RAD <= remaining <= HEADING_GATE_RAD:
+        step = limits.linear_speed * limits.dt
+        if dist < step:
+            step = dist
         x += step * math.cos(heading)
         y += step * math.sin(heading)
-    return RobotPose(x, y, heading)
+    return x, y, heading
 
 
 def apply_yield(poses: list[RobotPose], limits: MotionLimits) -> list[bool]:
@@ -78,11 +102,18 @@ def apply_yield(poses: list[RobotPose], limits: MotionLimits) -> list[bool]:
     gated; gates compose over pairs, so of two close robots exactly the
     higher one halts.
     """
-    n = len(poses)
-    gated = [False] * n
-    for j in range(1, n):
-        for i in range(j):
-            if math.hypot(poses[i].x - poses[j].x, poses[i].y - poses[j].y) < limits.yield_radius:
-                gated[j] = True
+    radius = limits.yield_radius
+    gated = []
+    earlier = []  # (x, y) of the lower-indexed robots
+    for pose in poses:
+        x, y = pose.x, pose.y
+        close = False
+        for ex, ey in earlier:
+            dx = ex - x
+            # a pair a whole radius apart in x is at least that far apart
+            if -radius < dx < radius and math.hypot(dx, ey - y) < radius:
+                close = True
                 break
+        gated.append(close)
+        earlier.append((x, y))
     return gated

@@ -23,14 +23,13 @@ def trial_config(dist="clustered", count=64, side=6.0, team=4, policy="cascade",
 class TestMoveToward:
     def test_at_target_unchanged(self):
         pose = RobotPose(1.0, 1.0, 0.3)
-        out = move_toward(pose, (1.02, 1.0), LIMITS)
-        assert (out.x, out.y, out.heading) == (1.0, 1.0, 0.3)
+        assert move_toward(pose, (1.02, 1.0), LIMITS) == (1.0, 1.0, 0.3)
 
     def test_reversed_heading_turns_in_place(self):
         pose = RobotPose(0.0, 0.0, math.pi - 1e-9)  # target dead astern
-        out = move_toward(pose, (1.0, 0.0), LIMITS)
-        assert (out.x, out.y) == (0.0, 0.0)
-        assert out.heading == pytest.approx(wrap_angle(pose.heading - 0.1), abs=1e-9)
+        x, y, heading = move_toward(pose, (1.0, 0.0), LIMITS)
+        assert (x, y) == (0.0, 0.0)
+        assert heading == pytest.approx(wrap_angle(pose.heading - 0.1), abs=1e-9)
 
     def test_straight_line_step_count(self):
         # from 1 m out, 0.03 m per step, arrival tolerance 0.05
@@ -38,21 +37,21 @@ class TestMoveToward:
         pose = RobotPose(0.0, 0.0, 0.0)
         steps = 0
         while math.hypot(1.0 - pose.x, 0.0 - pose.y) > LIMITS.arrival_tolerance:
-            pose = move_toward(pose, (1.0, 0.0), LIMITS)
+            pose = RobotPose(*move_toward(pose, (1.0, 0.0), LIMITS))
             steps += 1
             assert steps < 100
         assert steps == expected_steps == 32
 
     def test_never_overshoots(self):
         pose = RobotPose(0.97, 0.0, 0.0)
-        out = move_toward(pose, (1.0, 0.0), LIMITS)
-        assert out.x <= 1.0 + 1e-12
+        x, _y, _heading = move_toward(pose, (1.0, 0.0), LIMITS)
+        assert x <= 1.0 + 1e-12
 
     def test_gated_drive_above_30_degrees(self):
         pose = RobotPose(0.0, 0.0, math.radians(40))
-        out = move_toward(pose, (1.0, 0.0), LIMITS)
+        x, y, _heading = move_toward(pose, (1.0, 0.0), LIMITS)
         # after one 0.1 rad turn the error is ~0.598 rad > 30 deg: no translation
-        assert (out.x, out.y) == (0.0, 0.0)
+        assert (x, y) == (0.0, 0.0)
 
 
 class TestApplyYield:
@@ -212,7 +211,7 @@ class TestPheromoneManager:
         assert len(summary) == 10
         strengths = [s for _, s in summary]
         assert strengths == sorted(strengths, reverse=True)
-        assert manager.count(15.0) == 15
+        assert manager.count() == 15
 
     def test_empty_select(self):
         manager = PheromoneManager(decay_rate=0.1)

@@ -5,7 +5,9 @@ trial, and beside it the result's deposits and LLM tallies.  The cases
 cover every policy (the llm policy through the in-process mock, with
 injected latency so decisions are held), all three layouts, team sizes
 3 and 10, two sampled genomes, and 120-300 s trials, five of which
-outlive a pheromone waypoint and prune it.  Three llm cases choose an
+outlive a pheromone waypoint and prune it.  Ten robots in a 6 m
+clustered arena give the densest yield, veto and pickup traffic, and a
+fast-decaying genome lays and prunes waypoints all through its trial.  Three llm cases choose an
 at-centre action that cannot execute, so the choice degrades to
 uninformed search.  In two llm cases every call falls back to the
 cascade: one times out, and one gets a reply with no JSON in it.  In
@@ -16,6 +18,7 @@ A changed hash means the simulator now behaves differently.  That is a
 behaviour change to be declared as one; never edit a recorded value to
 get green.
 """
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -32,6 +35,10 @@ from swarmforage.tuner import sample_genome
 _draws = np.random.default_rng(20260418)
 GENOME_A = sample_genome(_draws)
 GENOME_B = sample_genome(_draws)
+# Lays a waypoint on almost every deposit (P(lay) = poisson_cdf(density,
+# lambda_lp) is near 1 for a small lambda_lp) and expires it within 7 s,
+# so prunes drop the oldest waypoints while younger ones stay.
+CHURN_PARAMS = dataclasses.replace(DEFAULT_PARAMS, lambda_lp=0.5, lambda_d=1.0)
 
 
 def _mock(behavior, latency):
@@ -80,6 +87,10 @@ CASES = [
      _mock("scripted", 1.0), "b85460ad4c51ff1e39acfab6606445219a2241fa7ae360a68a15fdb32a6a6d33"),
     ("policy-error-clustered", "scripted", DEFAULT_PARAMS, "clustered", 64, 6.0, 3, 240.0, 16,
      None, "ace90dd83855143af1b22fca072e6e395f61eb765350e863d717580983ad5167"),
+    ("cascade-dense-clustered-t10", "cascade", DEFAULT_PARAMS, "clustered", 64, 6.0, 10, 240.0, 42,
+     None, "706517106781a168e867c7110b11e1cd24a74a2d468d6495de7926f7fb7bb5dd"),
+    ("cascade-pheromone-churn-powerlaw-t10", "cascade", CHURN_PARAMS, "powerlaw", 64, 6.0, 10,
+     240.0, 62, None, "12efb1c0b229775cb1d25dd9dd03dc29deea57e0cdc815b19fdcc81de07ca21f"),
 ]
 
 # name -> (deposits, llm_calls, llm_fallbacks, outcome_counts, latency_samples)
@@ -105,6 +116,8 @@ FIGURES = {
     "llm-timeout-held-clustered": (11, 17, 17, {"timeout": 17}, [30.0] * 17),
     "llm-parse-error-held-powerlaw": (3, 3, 3, {"parse_error": 3}, [1.0] * 3),
     "policy-error-clustered": (15, 0, 0, {}, []),
+    "cascade-dense-clustered-t10": (16, 0, 0, {}, []),
+    "cascade-pheromone-churn-powerlaw-t10": (9, 0, 0, {}, []),
 }
 
 
