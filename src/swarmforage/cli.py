@@ -72,9 +72,13 @@ def _resource_count(args) -> int | None:
 
 
 def _cmd_gen_layout(args) -> int:
-    arena = Arena.square(args.arena)
-    spec = LayoutSpec(Distribution(args.dist), args.count, arena, seed=args.seed)
-    field = generate(spec)
+    try:
+        spec = LayoutSpec(Distribution(args.dist), args.count, Arena.square(args.arena),
+                          seed=args.seed)
+        field = generate(spec)
+    except (ValueError, LayoutError) as exc:  # e.g. a clustered count not divisible by 4
+        print(exc, file=sys.stderr)
+        return 2
     save_layout(field, spec, args.out)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -106,16 +110,20 @@ def _cmd_run_trial(args) -> int:
         layout_seed = args.layout_seed if args.layout_seed is not None else args.seed
         layout = LayoutSpec(Distribution(args.dist), count, arena, seed=layout_seed)
     params = load_params(args.params) if args.params else DEFAULT_PARAMS
-    config = TrialConfig(
-        arena=arena,
-        team_size=args.team,
-        layout=layout,
-        params=params,
-        policy=args.policy,
-        duration=args.duration,
-        seed=args.seed,
-        gateway=_gateway_from_args(args) if args.policy == "llm" else None,
-    )
+    try:
+        config = TrialConfig(
+            arena=arena,
+            team_size=args.team,
+            layout=layout,
+            params=params,
+            policy=args.policy,
+            duration=args.duration,
+            seed=args.seed,
+            gateway=_gateway_from_args(args) if args.policy == "llm" else None,
+        )
+    except ValueError as exc:  # e.g. a team of 0
+        print(exc, file=sys.stderr)
+        return 2
     result = run_trial(config, resources=resources)
     if args.log:
         with open(args.log, "wb") as fh:
@@ -143,7 +151,11 @@ def _cmd_ga_train(args) -> int:
     count = _resource_count(args)
     if count is None:
         return 1
-    config = _ga_config(args, count)
+    try:
+        config = _ga_config(args, count)
+    except ValueError as exc:  # e.g. a population of 0
+        print(exc, file=sys.stderr)
+        return 2
     start = time.time()
     best, history = ga_run(config)
     save_params(best, args.out)
@@ -186,7 +198,7 @@ def _load_grid_spec(args) -> GridSpec:
 def _cmd_run_grid(args) -> int:
     try:
         spec = _load_grid_spec(args)
-    except ValueError as exc:  # e.g. an unknown policy or distribution name
+    except ValueError as exc:  # e.g. an unknown policy or a repeated axis entry
         print(exc, file=sys.stderr)
         return 2
     total = len(spec.cells()) * spec.trials_per_cell * len(spec.policies)
@@ -295,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a results store")
     p.add_argument("--store", required=True)
-    p.add_argument("--baseline", default="cascade")
-    p.add_argument("--candidate", default="scripted")
+    p.add_argument("--baseline", default="cascade", choices=POLICY_NAMES)
+    p.add_argument("--candidate", default="scripted", choices=POLICY_NAMES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import SIGMA_MAX, CpfaParams, FatalPolicyError, poisson_cdf
-from .kinematics import YIELD_TURN_RAD, RobotPose, clamp_to_walls, move_toward, wrap_angle
+from .kinematics import YIELD_TURN_RAD, clamp_to_walls, move_toward, wrap_angle
 from .policy import (
     DecisionEvent,
     EventType,
@@ -56,18 +56,7 @@ SEARCHING_STATES = (FsmState.SEARCHING_UNINFORMED, FsmState.SEARCHING_INFORMED)
 TRAVELING_STATES = (FsmState.TRAVELING_TO_SITE, FsmState.TRAVELING_TO_PHEROMONE)
 RETURNING_STATES = (FsmState.RETURNING_WITH_RESOURCE, FsmState.RETURNING_EMPTY)
 DISPERSING = FsmState.DISPERSING
-
-
-@dataclass
-class ForagerMemory:
-    """What one robot remembers about its own foraging history."""
-
-    last_pickup_location: Optional[tuple[float, float]] = None
-    last_density: int = 0
-    fidelity_flag: bool = False  # set on pickup, cleared on give-up
-    last_pickup_time: float = 0.0
-    search_started_at: Optional[float] = None
-    informed_search_started_at: Optional[float] = None
+RETURNING_WITH_RESOURCE = FsmState.RETURNING_WITH_RESOURCE
 
 
 def uninformed_step_heading(
@@ -106,16 +95,21 @@ def should_switch_to_search(params: CpfaParams, rng: np.random.Generator) -> boo
 
 @dataclass
 class Robot:
-    """One robot's pose, carried-resource flag, memory, and timers."""
+    """One robot: its pose, controller state, pickup memory and timers."""
 
     index: int
-    pose: RobotPose
+    x: float
+    y: float
+    heading: float  # radians in [-pi, pi)
     rng: np.random.Generator
-    params: CpfaParams
     state: FsmState = FsmState.DISPERSING
-    carrying: bool = False
     target: Optional[tuple[float, float]] = None
-    memory: ForagerMemory = field(default_factory=ForagerMemory)
+    # what the robot remembers of its last pickup and its current search
+    last_pickup_location: Optional[tuple[float, float]] = None
+    last_density: int = 0
+    last_pickup_time: float = 0.0
+    search_started_at: Optional[float] = None
+    informed_search_started_at: Optional[float] = None
     next_tick_at: float = TICK_PERIOD_S
     next_starvation_at: Optional[float] = None
     # a decision waiting out the injected latency: (until, event, decision)
@@ -124,6 +118,10 @@ class Robot:
     @property
     def robot_id(self) -> str:
         return f"r{self.index}"
+
+    @property
+    def carrying(self) -> bool:
+        return self.state is RETURNING_WITH_RESOURCE
 
     def assign_disperse_target(self, world) -> None:
         self.target = world.sample_arena_point(self.rng)
@@ -145,8 +143,8 @@ class Robot:
 
     def _begin_search(self, world, informed: bool) -> None:
         now = world.t
-        self.memory.search_started_at = now
-        self.memory.informed_search_started_at = now if informed else None
+        self.search_started_at = now
+        self.informed_search_started_at = now if informed else None
         self.next_starvation_at = now + SEARCH_STARVATION_AFTER_S
         self.target = None
         self._set_state(
@@ -167,58 +165,56 @@ def _search_drive(robot: Robot, world, gated: bool) -> None:
     """Forward drive along the current heading, reflecting off walls."""
     lim = world.limits
     if gated:
-        robot.pose.heading = wrap_angle(robot.pose.heading + YIELD_TURN_RAD)
+        robot.heading = wrap_angle(robot.heading + YIELD_TURN_RAD)
         return
-    h = robot.pose.heading
-    nx = robot.pose.x + lim.linear_speed * lim.dt * math.cos(h)
-    ny = robot.pose.y + lim.linear_speed * lim.dt * math.sin(h)
+    h = robot.heading
+    nx = robot.x + lim.linear_speed * lim.dt * math.cos(h)
+    ny = robot.y + lim.linear_speed * lim.dt * math.sin(h)
     cx, cy, clamped = clamp_to_walls(nx, ny, world.arena.half_width)
     if clamped:
         if cx != nx:
             h = wrap_angle(math.pi - h)
         if cy != ny:
             h = wrap_angle(-h)
-        robot.pose.heading = h
+        robot.heading = h
     if world.translation_allowed(robot, cx, cy):
-        robot.pose.x = cx
-        robot.pose.y = cy
+        robot.x = cx
+        robot.y = cy
 
 
 def _travel_drive(robot: Robot, world, gated: bool) -> bool:
     """One step toward the current target; True once within tolerance."""
     lim = world.limits
-    pose = robot.pose
     tx, ty = robot.target
-    if math.hypot(tx - pose.x, ty - pose.y) <= lim.arrival_tolerance:
+    if math.hypot(tx - robot.x, ty - robot.y) <= lim.arrival_tolerance:
         return True
     if gated:
-        pose.heading = wrap_angle(pose.heading + YIELD_TURN_RAD)
+        robot.heading = wrap_angle(robot.heading + YIELD_TURN_RAD)
         return False
-    x, y, pose.heading = move_toward(pose, robot.target, lim)
+    x, y, robot.heading = move_toward(robot.x, robot.y, robot.heading, robot.target, lim)
     cx, cy, clamped = clamp_to_walls(x, y, world.arena.half_width)
     if clamped and robot.state is DISPERSING:
         # wall contact while heading to a random waypoint: pick a new one
         robot.assign_disperse_target(world)
     if not world.translation_allowed(robot, cx, cy):
         return False  # still where the arrival check above found it
-    pose.x = cx
-    pose.y = cy
+    robot.x = cx
+    robot.y = cy
     return math.hypot(tx - cx, ty - cy) <= lim.arrival_tolerance
 
 
 def _build_event(robot: Robot, world, event_type: EventType) -> DecisionEvent:
     now = world.t
-    mem = robot.memory
     at_center = event_type is not EventType.SEARCH_STARVATION
     return DecisionEvent(
         robot_id=robot.robot_id,
         event_type=event_type,
         current_state=robot.state.value,
         sim_time_sec=now,
-        position=(robot.pose.x, robot.pose.y),
-        resource_density=mem.last_density,
-        time_since_last_pickup=now - mem.last_pickup_time,
-        last_pickup_location=mem.last_pickup_location,
+        position=(robot.x, robot.y),
+        resource_density=robot.last_density,
+        time_since_last_pickup=now - robot.last_pickup_time,
+        last_pickup_location=robot.last_pickup_location,
         active_pheromone_count=world.pheromones.count(),
         pheromone_summary=world.pheromones.summary(now) if at_center else None,
         allowed_actions=tuple(build_whitelist(event_type)),
@@ -264,7 +260,7 @@ def _decide(robot: Robot, world, policy, event_type: EventType) -> None:
         decision = PolicyDecision(action=None, source="fallback", fallback_reason="policy_error")
         world.log(robot, "POLICY_ERROR", {"error": str(exc)})
     if decision.action is None:
-        action = fallback_decide(event, robot.params, world.streams.policy(robot.index))
+        action = fallback_decide(event, world.params, world.streams.policy(robot.index))
         decision = dataclasses.replace(decision, action=action)
     world.record_decision(decision)
     if starvation:
@@ -281,7 +277,6 @@ def _act(robot: Robot, world, event: DecisionEvent, decision: PolicyDecision) ->
     uninformed search."""
     action = decision.action
     if action is TacticalAction.RETURN_FOR_INFO:
-        robot.memory.fidelity_flag = False
         robot._go_home(world, carrying=False)
         return
     if action is TacticalAction.CONTINUE_SEARCH:
@@ -292,8 +287,8 @@ def _act(robot: Robot, world, event: DecisionEvent, decision: PolicyDecision) ->
         waypoint = world.pheromones.select(world.t, robot.rng)
         if waypoint is not None:
             target, state = waypoint.location, FsmState.TRAVELING_TO_PHEROMONE
-    elif action is TacticalAction.USE_SITE_FIDELITY and robot.memory.last_pickup_location is not None:
-        target, state = robot.memory.last_pickup_location, FsmState.TRAVELING_TO_SITE
+    elif action is TacticalAction.USE_SITE_FIDELITY and robot.last_pickup_location is not None:
+        target, state = robot.last_pickup_location, FsmState.TRAVELING_TO_SITE
     if target is None and action is not TacticalAction.UNINFORMED_SEARCH:
         _log_decision(robot, world, event, dataclasses.replace(
             decision, action=TacticalAction.UNINFORMED_SEARCH, source="degraded"), action.value)
@@ -309,7 +304,7 @@ def _act(robot: Robot, world, event: DecisionEvent, decision: PolicyDecision) ->
 def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
     """Advance one robot by one dt of its current state's behaviour."""
     now = world.t
-    mem = robot.memory
+    params = world.params
 
     if robot.held is not None:
         until, event, decision = robot.held
@@ -321,41 +316,33 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
 
     state = robot.state
     if state in SEARCHING_STATES:
-        if not robot.carrying:
-            pickup = world.try_pickup(robot)
-            if pickup is not None:
-                robot.carrying = True
-                mem.last_pickup_location, mem.last_density = pickup
-                mem.fidelity_flag = True
-                mem.last_pickup_time = now
-                robot._go_home(world, carrying=True)
-                return robot.state
+        pickup = world.try_pickup(robot)
+        if pickup is not None:
+            robot.last_pickup_location, robot.last_density = pickup
+            robot.last_pickup_time = now
+            robot._go_home(world, carrying=True)
+            return robot.state
         tick = robot._tick_due(now)
         if policy.uses_starvation:
             if robot.next_starvation_at is not None and now >= robot.next_starvation_at - _EPS:
                 _decide(robot, world, policy, EventType.SEARCH_STARVATION)
                 if robot.state not in SEARCHING_STATES or robot.held is not None:
                     return robot.state
-        elif tick and should_give_up(robot.params, robot.rng):
-            mem.fidelity_flag = False
-            world.log(robot, "GIVE_UP", {"searched": round(now - (mem.search_started_at or now), 6)})
+        elif tick and should_give_up(params, robot.rng):
+            world.log(robot, "GIVE_UP", {"searched": round(now - (robot.search_started_at or now), 6)})
             robot._go_home(world, carrying=False)
             return robot.state
         if tick:
             if robot.state is FsmState.SEARCHING_INFORMED:
-                t_informed = now - (mem.informed_search_started_at or now)
-                robot.pose.heading = informed_step_heading(
-                    robot.pose.heading, t_informed, robot.params, robot.rng
-                )
+                t_informed = now - (robot.informed_search_started_at or now)
+                robot.heading = informed_step_heading(robot.heading, t_informed, params, robot.rng)
             else:
-                robot.pose.heading = uninformed_step_heading(
-                    robot.pose.heading, robot.params, robot.rng
-                )
+                robot.heading = uninformed_step_heading(robot.heading, params, robot.rng)
         _search_drive(robot, world, gated)
         return robot.state
 
     if state is DISPERSING:
-        if robot._tick_due(now) and should_switch_to_search(robot.params, robot.rng):
+        if robot._tick_due(now) and should_switch_to_search(params, robot.rng):
             robot._begin_search(world, informed=False)
             return robot.state
         if _travel_drive(robot, world, gated):
@@ -368,15 +355,16 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
         return robot.state
 
     if state in RETURNING_STATES:
-        if math.hypot(robot.pose.x, robot.pose.y) > world.arena.center_zone_radius:
+        if math.hypot(robot.x, robot.y) > world.arena.center_zone_radius:
             _travel_drive(robot, world, gated)
-        elif robot.carrying:
+        elif state is RETURNING_WITH_RESOURCE:
             world.try_deposit(robot)
-            if mem.fidelity_flag and should_lay_pheromone(mem.last_density, robot.params, robot.rng):
-                world.pheromones.add(mem.last_pickup_location, now)
+            # every carried resource was picked up, so site fidelity holds
+            if should_lay_pheromone(robot.last_density, params, robot.rng):
+                world.pheromones.add(robot.last_pickup_location, now)
                 world.log(robot, "PHEROMONE", {
-                    "location": [mem.last_pickup_location[0], mem.last_pickup_location[1]],
-                    "density": mem.last_density,
+                    "location": [robot.last_pickup_location[0], robot.last_pickup_location[1]],
+                    "density": robot.last_density,
                 })
             _decide(robot, world, policy, EventType.POST_DEPOSIT_DECISION)
         else:

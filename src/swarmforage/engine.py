@@ -25,7 +25,7 @@ from .core import (
 )
 from . import cpfa
 from .gateway import GatewayConfig, LlmClient
-from .kinematics import MotionLimits, RobotPose, apply_yield, wrap_angle
+from .kinematics import MotionLimits, apply_yield, wrap_angle
 from .layouts import LayoutSpec, ResourceField, generate
 from .policy import CascadePolicy, DecisionPolicy, FixedActionPolicy, ScriptedPolicy
 
@@ -184,10 +184,9 @@ class World:
         self.policies = []
         for i in range(config.team_size):
             angle = 2.0 * math.pi * i / config.team_size
-            pose = RobotPose(
-                spawn_radius * math.cos(angle), spawn_radius * math.sin(angle), wrap_angle(angle)
-            )
-            robot = cpfa.Robot(index=i, pose=pose, rng=self.streams.robot(i), params=config.params)
+            robot = cpfa.Robot(index=i, x=spawn_radius * math.cos(angle),
+                               y=spawn_radius * math.sin(angle), heading=wrap_angle(angle),
+                               rng=self.streams.robot(i))
             robot.assign_disperse_target(self)
             self.robots.append(robot)
             try:
@@ -209,11 +208,10 @@ class World:
         """Reject a move that would end inside another robot's hard radius."""
         min_sep = 0.5 * self.limits.yield_radius
         for other in self.robots:
-            pose = other.pose
-            dx = pose.x - x
+            dx = other.x - x
             # a robot a whole radius away in x is at least that far away
             if (-min_sep < dx < min_sep and other.index != robot.index
-                    and math.hypot(dx, pose.y - y) < min_sep):
+                    and math.hypot(dx, other.y - y) < min_sep):
                 return False
         return True
 
@@ -227,7 +225,7 @@ class World:
         density radius of it, or None when nothing is in reach.
         """
         radius = self.limits.pickup_radius
-        x, y = robot.pose.x, robot.pose.y
+        x, y = robot.x, robot.y
         bucket = self.pickup_buckets.get((math.floor(x / radius), math.floor(y / radius)))
         if bucket is None:
             return None
@@ -254,9 +252,8 @@ class World:
 
     def try_deposit(self, robot) -> bool:
         """Deposit the carried resource; False when outside the central zone."""
-        if math.hypot(robot.pose.x, robot.pose.y) > self.arena.center_zone_radius:
+        if math.hypot(robot.x, robot.y) > self.arena.center_zone_radius:
             return False
-        robot.carrying = False
         self.deposits += 1
         self.log(robot, "DEPOSIT", {"total": self.deposits})
         return True
@@ -282,7 +279,7 @@ class World:
     # -- main loop ----------------------------------------------------------
 
     def step(self) -> None:
-        gates = apply_yield([r.pose for r in self.robots], self.limits)
+        gates = apply_yield(self.robots, self.limits)
         fsm_step = cpfa.fsm_step  # looked up per step, so a wrapper put there is seen
         for robot, policy, gated in zip(self.robots, self.policies, gates):
             fsm_step(robot, self, policy, gated)

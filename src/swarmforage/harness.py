@@ -44,6 +44,10 @@ class GridSpec:
     gateway: Optional[GatewayConfig] = None  # for any "llm" policy entries
 
     def __post_init__(self):
+        for axis in ("team_sizes", "arena_sides", "distributions", "policies"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):  # its jobs would share keys
+                raise ValueError(f"{axis} repeats an entry: {list(values)}")
         for policy in self.policies:
             if policy not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")

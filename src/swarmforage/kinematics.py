@@ -1,4 +1,4 @@
-"""Per-step motion primitives: poses, motion limits, turn-then-drive, yield.
+"""Per-step motion on plain coordinates: limits, wrap, clamp, turn-then-drive, yield.
 
 Every robot moves through these functions once per dt, so they are the
 simulator's hot kernel.  They know nothing of controllers or the world.
@@ -18,13 +18,6 @@ YIELD_TURN_RAD = 0.1
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class RobotPose:
-    x: float
-    y: float
-    heading: float  # radians in [-pi, pi)
 
 
 @dataclass(frozen=True)
@@ -60,16 +53,15 @@ def clamp_to_walls(x: float, y: float, half_width: float) -> tuple[float, float,
     return cx, cy, (cx != x or cy != y)
 
 
-def move_toward(pose: RobotPose, target: tuple[float, float],
+def move_toward(x: float, y: float, heading: float, target: tuple[float, float],
                 limits: MotionLimits) -> tuple[float, float, float]:
-    """One dt of turn-then-drive motion toward ``target``: the new
-    ``(x, y, heading)``.
+    """One dt of turn-then-drive motion from ``(x, y, heading)`` toward
+    ``target``: the new ``(x, y, heading)``.
 
     Heading rotates toward the bearing by at most angular_speed*dt; the
     robot translates only once the remaining heading error is inside the
     gate, and never overshoots the target.
     """
-    x, y, heading = pose.x, pose.y, pose.heading
     dx = target[0] - x
     dy = target[1] - y
     dist = math.hypot(dx, dy)
@@ -95,8 +87,9 @@ def move_toward(pose: RobotPose, target: tuple[float, float],
     return x, y, heading
 
 
-def apply_yield(poses: list[RobotPose], limits: MotionLimits) -> list[bool]:
-    """Per-robot motion gates from the pairwise yield rule.
+def apply_yield(robots, limits: MotionLimits) -> list[bool]:
+    """Per-robot motion gates from the pairwise yield rule, over anything
+    with an ``x`` and a ``y``, in index order.
 
     For every pair closer than yield_radius the higher-indexed robot is
     gated; gates compose over pairs, so of two close robots exactly the
@@ -105,8 +98,8 @@ def apply_yield(poses: list[RobotPose], limits: MotionLimits) -> list[bool]:
     radius = limits.yield_radius
     gated = []
     earlier = []  # (x, y) of the lower-indexed robots
-    for pose in poses:
-        x, y = pose.x, pose.y
+    for robot in robots:
+        x, y = robot.x, robot.y
         close = False
         for ex, ey in earlier:
             dx = ex - x

@@ -24,6 +24,14 @@ class TestGenLayout:
         assert csv_out.read_text().splitlines()[0] == "x,y"
         assert "wrote 64 points" in capsys.readouterr().out
 
+    def test_impossible_layout_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "layout.txt"
+        code = main(["gen-layout", "--dist", "clustered", "--count", "7",
+                     "--arena", "6", "--out", str(out)])
+        assert code == 2
+        assert "divisible by 4" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunTrial:
     def test_reports_deposits_and_writes_log(self, tmp_path, capsys):
@@ -95,6 +103,10 @@ class TestRunTrial:
         assert exc.value.code == 2
         assert "invalid mock_behavior value: 'bogus'" in capsys.readouterr().err
 
+    def test_bad_config_value_is_a_usage_error(self, capsys):
+        assert main(["run-trial", "--team", "0", "--duration", "1"]) == 2
+        assert "team_size must be positive" in capsys.readouterr().err
+
     def test_defaults_are_the_trial_config_defaults(self):
         args = build_parser().parse_args(["run-trial"])
         defaults = {f.name: f.default for f in dataclasses.fields(TrialConfig)}
@@ -127,6 +139,12 @@ class TestGaTrain:
         assert main(["run-trial", "--arena", "7", "--duration", "1"]) == 1
         assert capsys.readouterr().err == ga_err
         assert not (tmp_path / "best.txt").exists()
+
+    def test_bad_config_value_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "best.txt"
+        assert main(["ga-train", "--population", "0", "--out", str(out)]) == 2
+        assert "population, generations and trials_per_genome" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_params_file_feeds_run_trial(self, tmp_path, capsys):
         params_file = tmp_path / "params.txt"
@@ -196,6 +214,27 @@ class TestGridAndReport:
         assert main(argv) == 2
         assert "'bogus' is not a valid Distribution" in capsys.readouterr().err
         assert not store.exists()
+
+    def test_repeated_axis_entry_is_a_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "team_sizes": [2], "arena_sides": [6.0], "distributions": ["random"],
+            "trials_per_cell": 1, "duration": 10.0,
+        }))
+        store = tmp_path / "store"
+        code = main(["run-grid", "--spec", str(spec), "--out", str(store),
+                     "--policies", "cascade,cascade"])
+        assert code == 2
+        assert "policies repeats an entry" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_unknown_report_policy_is_a_usage_error(self, tmp_path, capsys):
+        for flag in ("--baseline", "--candidate"):
+            with pytest.raises(SystemExit) as exc:
+                main(["report", "--store", str(tmp_path), flag, "cascde",
+                      "--out", str(tmp_path / "report")])
+            assert exc.value.code == 2
+            assert "invalid choice: 'cascde'" in capsys.readouterr().err
 
     def test_report_empty_store(self, tmp_path):
         assert main(["report", "--store", str(tmp_path), "--out", str(tmp_path)]) == 1

@@ -200,8 +200,7 @@ class TestFsmInvariants:
             for robot in world.robots:
                 if robot.carrying:
                     seen_pickup = True
-                    assert robot.memory.fidelity_flag
-                    assert robot.memory.last_pickup_location is not None
+                    assert robot.last_pickup_location is not None
             if seen_pickup:
                 break
         assert seen_pickup
@@ -229,16 +228,6 @@ class TestFsmInvariants:
         scripted = run_trial(trial_config(policy="scripted", duration=300.0, seed=6))
         assert all(e["kind"] != "GIVE_UP" for e in scripted.event_log)
 
-    def test_fidelity_flag_cleared_on_give_up(self):
-        config = trial_config(policy="cascade", duration=300.0, seed=2,
-                              params=params_with(p_r=0.2))
-        world = World(config)
-        for _ in range(3000):
-            world.step()
-            for robot in world.robots:
-                if robot.state.value == "RETURNING_EMPTY":
-                    assert not robot.memory.fidelity_flag
-
     def test_travel_targets_exact(self):
         config = trial_config(policy="scripted", duration=400.0, seed=12)
         world = World(config)
@@ -246,7 +235,7 @@ class TestFsmInvariants:
             world.step()
             for robot in world.robots:
                 if robot.state.value == "TRAVELING_TO_SITE":
-                    assert robot.target == robot.memory.last_pickup_location
+                    assert robot.target == robot.last_pickup_location
                 elif robot.state.value == "TRAVELING_TO_PHEROMONE":
                     assert robot.target is not None
 

@@ -1,14 +1,17 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from swarmforage.core import Arena, DEFAULT_PARAMS, CpfaParams
+from swarmforage.cpfa import FsmState
 from swarmforage.engine import PheromoneManager, TrialConfig, World, run_trial
-from swarmforage.kinematics import MotionLimits, RobotPose, apply_yield, move_toward, wrap_angle
+from swarmforage.kinematics import MotionLimits, apply_yield, move_toward, wrap_angle
 from swarmforage.layouts import Distribution, LayoutSpec, ResourceField
 
 LIMITS = MotionLimits()
+RobotPose = namedtuple("RobotPose", "x y heading")
 
 
 def trial_config(dist="clustered", count=64, side=6.0, team=4, policy="cascade",
@@ -23,11 +26,11 @@ def trial_config(dist="clustered", count=64, side=6.0, team=4, policy="cascade",
 class TestMoveToward:
     def test_at_target_unchanged(self):
         pose = RobotPose(1.0, 1.0, 0.3)
-        assert move_toward(pose, (1.02, 1.0), LIMITS) == (1.0, 1.0, 0.3)
+        assert move_toward(*pose, (1.02, 1.0), LIMITS) == (1.0, 1.0, 0.3)
 
     def test_reversed_heading_turns_in_place(self):
         pose = RobotPose(0.0, 0.0, math.pi - 1e-9)  # target dead astern
-        x, y, heading = move_toward(pose, (1.0, 0.0), LIMITS)
+        x, y, heading = move_toward(*pose, (1.0, 0.0), LIMITS)
         assert (x, y) == (0.0, 0.0)
         assert heading == pytest.approx(wrap_angle(pose.heading - 0.1), abs=1e-9)
 
@@ -37,19 +40,19 @@ class TestMoveToward:
         pose = RobotPose(0.0, 0.0, 0.0)
         steps = 0
         while math.hypot(1.0 - pose.x, 0.0 - pose.y) > LIMITS.arrival_tolerance:
-            pose = RobotPose(*move_toward(pose, (1.0, 0.0), LIMITS))
+            pose = RobotPose(*move_toward(*pose, (1.0, 0.0), LIMITS))
             steps += 1
             assert steps < 100
         assert steps == expected_steps == 32
 
     def test_never_overshoots(self):
         pose = RobotPose(0.97, 0.0, 0.0)
-        x, _y, _heading = move_toward(pose, (1.0, 0.0), LIMITS)
+        x, _y, _heading = move_toward(*pose, (1.0, 0.0), LIMITS)
         assert x <= 1.0 + 1e-12
 
     def test_gated_drive_above_30_degrees(self):
         pose = RobotPose(0.0, 0.0, math.radians(40))
-        x, y, _heading = move_toward(pose, (1.0, 0.0), LIMITS)
+        x, y, _heading = move_toward(*pose, (1.0, 0.0), LIMITS)
         # after one 0.1 rad turn the error is ~0.598 rad > 30 deg: no translation
         assert (x, y) == (0.0, 0.0)
 
@@ -77,13 +80,13 @@ class TestPickupDeposit:
     def test_nothing_in_range(self):
         world = self.make_world([[2.0, 2.0]])
         robot = world.robots[0]
-        robot.pose.x, robot.pose.y = -2.0, -2.0
+        robot.x, robot.y = -2.0, -2.0
         assert world.try_pickup(robot) is None
 
     def test_isolated_pickup_density_zero(self):
         world = self.make_world([[2.0, 2.0]])
         robot = world.robots[0]
-        robot.pose.x, robot.pose.y = 2.1, 2.0
+        robot.x, robot.y = 2.1, 2.0
         assert world.try_pickup(robot) == ((2.0, 2.0), 0)
         assert world.resources.remaining() == 0
 
@@ -91,26 +94,25 @@ class TestPickupDeposit:
         # pickup target plus three neighbours inside the 0.5 m density disc
         world = self.make_world([[2.0, 2.0], [2.2, 2.0], [2.0, 2.2], [2.3, 2.3], [4.0, 4.0]])
         robot = world.robots[0]
-        robot.pose.x, robot.pose.y = 2.05, 2.0
+        robot.x, robot.y = 2.05, 2.0
         assert world.try_pickup(robot) == ((2.0, 2.0), 3)
 
     def test_nearest_is_taken(self):
         world = self.make_world([[2.0, 2.0], [2.1, 2.0]])
         robot = world.robots[0]
-        robot.pose.x, robot.pose.y = 2.12, 2.0
+        robot.x, robot.y = 2.12, 2.0
         location, _density = world.try_pickup(robot)
         assert location == (2.1, 2.0)
 
     def test_deposit_requires_zone(self):
         world = self.make_world([[2.0, 2.0]])
         robot = world.robots[0]
-        robot.carrying = True
-        robot.pose.x, robot.pose.y = 2.9, 2.9
+        robot.state = FsmState.RETURNING_WITH_RESOURCE
+        robot.x, robot.y = 2.9, 2.9
         assert world.try_deposit(robot) is False
-        robot.pose.x, robot.pose.y = 0.1, 0.0
+        robot.x, robot.y = 0.1, 0.0
         assert world.try_deposit(robot) is True
         assert world.deposits == 1
-        assert not robot.carrying
 
 
 class TestTrials:
@@ -137,15 +139,15 @@ class TestTrials:
         config = trial_config(policy="cascade", duration=120.0, seed=5)
         world = World(config)
         max_step = world.limits.linear_speed * world.limits.dt + 1e-9
-        last_positions = [(r.pose.x, r.pose.y) for r in world.robots]
+        last_positions = [(r.x, r.y) for r in world.robots]
         last_deposits = 0
         for _ in range(1200):
             world.step()
             assert world.deposits >= last_deposits
             last_deposits = world.deposits
             for robot, (px, py) in zip(world.robots, last_positions):
-                assert math.hypot(robot.pose.x - px, robot.pose.y - py) <= max_step
-            last_positions = [(r.pose.x, r.pose.y) for r in world.robots]
+                assert math.hypot(robot.x - px, robot.y - py) <= max_step
+            last_positions = [(r.x, r.y) for r in world.robots]
 
     def test_yield_safety_floor(self):
         config = trial_config(team=8, policy="cascade", duration=60.0, seed=9)
@@ -153,7 +155,7 @@ class TestTrials:
         floor = 0.5 * world.limits.yield_radius - 1e-9
         for _ in range(600):
             world.step()
-            poses = [(r.pose.x, r.pose.y) for r in world.robots]
+            poses = [(r.x, r.y) for r in world.robots]
             for i in range(len(poses)):
                 for j in range(i + 1, len(poses)):
                     assert math.hypot(poses[i][0] - poses[j][0], poses[i][1] - poses[j][1]) >= floor
@@ -164,8 +166,8 @@ class TestTrials:
         for _ in range(1200):
             world.step()
             for robot in world.robots:
-                assert abs(robot.pose.x) <= world.arena.half_width + 1e-9
-                assert abs(robot.pose.y) <= world.arena.half_width + 1e-9
+                assert abs(robot.x) <= world.arena.half_width + 1e-9
+                assert abs(robot.y) <= world.arena.half_width + 1e-9
 
     def test_deposits_counted_in_log(self):
         result = run_trial(trial_config(policy="scripted", duration=300.0, seed=4))
@@ -227,7 +229,7 @@ class TestMoreInvariants:
             floor = 0.5 * world.limits.yield_radius - floor_margin
             for _ in range(400):
                 world.step()
-                poses = [(r.pose.x, r.pose.y) for r in world.robots]
+                poses = [(r.x, r.y) for r in world.robots]
                 for i in range(len(poses)):
                     for j in range(i + 1, len(poses)):
                         d = math.hypot(poses[i][0] - poses[j][0], poses[i][1] - poses[j][1])

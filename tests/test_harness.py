@@ -64,6 +64,16 @@ class TestExpandGrid:
         keys = [j.key for j in jobs]
         assert len(keys) == len(set(keys))
 
+    @pytest.mark.parametrize("axis, values", [
+        ("team_sizes", (2, 2)),
+        ("arena_sides", (6, 6.0)),
+        ("distributions", ("random", "random")),
+        ("policies", ("cascade", "cascade")),
+    ])
+    def test_repeated_axis_entry_rejected(self, axis, values):
+        with pytest.raises(ValueError, match=f"{axis} repeats an entry"):
+            tiny_spec(**{axis: values})
+
 
 class TestRunGrid:
     def test_completes_and_counts(self, tmp_path):

@@ -12,6 +12,7 @@ Floats are compared bit for bit.
 """
 import math
 import struct
+from collections import namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,6 @@ from swarmforage.engine import PheromoneManager, TrialConfig, World
 from swarmforage.kinematics import (
     HEADING_GATE_RAD,
     MotionLimits,
-    RobotPose,
     apply_yield,
     clamp_to_walls,
     move_toward,
@@ -39,6 +39,7 @@ from swarmforage.kinematics import (
 from swarmforage.layouts import Distribution, LayoutSpec, ResourceField
 
 LIMITS = MotionLimits()
+RobotPose = namedtuple("RobotPose", "x y heading")
 KERNEL = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 PI = math.pi
 # decay_rate * age at which a waypoint's strength reaches the expiry threshold
@@ -98,7 +99,7 @@ def ref_translation_allowed(self, robot, x: float, y: float) -> bool:
     for other in self.robots:
         if other.index == robot.index:
             continue
-        if math.hypot(other.pose.x - x, other.pose.y - y) < min_sep:
+        if math.hypot(other.x - x, other.y - y) < min_sep:
             return False
     return True
 
@@ -110,8 +111,8 @@ def ref_try_pickup(self, robot):
     free = ~res.picked
     if not free.any():
         return None
-    dx = res.positions[:, 0] - robot.pose.x
-    dy = res.positions[:, 1] - robot.pose.y
+    dx = res.positions[:, 0] - robot.x
+    dy = res.positions[:, 1] - robot.y
     d2 = dx * dx + dy * dy
     d2[~free] = np.inf
     idx = int(np.argmin(d2))
@@ -164,7 +165,7 @@ def world_with(team: int, positions=()) -> World:
 
 def place(world: World, points) -> None:
     for robot, (x, y) in zip(world.robots, points):
-        robot.pose.x, robot.pose.y = x, y
+        robot.x, robot.y = x, y
 
 
 coord = st.floats(-4.0, 4.0, allow_nan=False)
@@ -226,7 +227,7 @@ def test_move_toward(p, heading, offset, lim):
     pose = RobotPose(p[0], p[1], heading)
     target = (p[0] + offset[0], p[1] + offset[1])
     expected = ref_move_toward(pose, target, lim)
-    assert bits(*move_toward(pose, target, lim)) == bits(expected.x, expected.y, expected.heading)
+    assert bits(*move_toward(*pose, target, lim)) == bits(expected.x, expected.y, expected.heading)
 
 
 # -- apply_yield and translation_allowed -------------------------------------------
