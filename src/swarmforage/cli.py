@@ -90,27 +90,24 @@ def _cmd_gen_layout(args) -> int:
 
 
 def _cmd_run_trial(args) -> int:
-    arena = Arena.square(args.arena)
-    resources = None
-    if args.layout_file:
-        # the file's header, not --dist/--count/--layout-seed, says what runs
-        try:
-            layout = load_layout_spec(args.layout_file)
-        except LayoutError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        if layout.arena != arena:
-            print(f"{args.layout_file}: its arena is not --arena {args.arena:g}", file=sys.stderr)
-            return 1
-        resources = load_layout(args.layout_file)
-    else:
-        count = _resource_count(args)
-        if count is None:
-            return 1
-        layout_seed = args.layout_seed if args.layout_seed is not None else args.seed
-        layout = LayoutSpec(Distribution(args.dist), count, arena, seed=layout_seed)
-    params = load_params(args.params) if args.params else DEFAULT_PARAMS
     try:
+        arena = Arena.square(args.arena)
+        params = load_params(args.params) if args.params else DEFAULT_PARAMS
+        resources = None
+        if args.layout_file:
+            # the file's header, not --dist/--count/--layout-seed, says what runs
+            layout = load_layout_spec(args.layout_file)
+            if layout.arena != arena:
+                print(f"{args.layout_file}: its arena is not --arena {args.arena:g}",
+                      file=sys.stderr)
+                return 1
+            resources = load_layout(args.layout_file)
+        else:
+            count = _resource_count(args)
+            if count is None:
+                return 1
+            layout_seed = args.layout_seed if args.layout_seed is not None else args.seed
+            layout = LayoutSpec(Distribution(args.dist), count, arena, seed=layout_seed)
         config = TrialConfig(
             arena=arena,
             team_size=args.team,
@@ -121,7 +118,10 @@ def _cmd_run_trial(args) -> int:
             seed=args.seed,
             gateway=_gateway_from_args(args) if args.policy == "llm" else None,
         )
-    except ValueError as exc:  # e.g. a team of 0
+    except (OSError, LayoutError) as exc:  # a missing file, or a layout file without a header
+        print(exc, file=sys.stderr)
+        return 1
+    except ValueError as exc:  # e.g. a team of 0, or an arena inside the central zone
         print(exc, file=sys.stderr)
         return 2
     result = run_trial(config, resources=resources)
@@ -198,6 +198,9 @@ def _load_grid_spec(args) -> GridSpec:
 def _cmd_run_grid(args) -> int:
     try:
         spec = _load_grid_spec(args)
+    except OSError as exc:  # a missing spec or parameter file
+        print(exc, file=sys.stderr)
+        return 1
     except ValueError as exc:  # e.g. an unknown policy or a repeated axis entry
         print(exc, file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ Each robot runs the classic ant-inspired state machine: disperse, walk a
 correlated random search, carry finds back to the central zone, and pick
 the next move from site fidelity, pheromone trails, or fresh random
 search.  The three tactical choices (after a deposit, on an empty-handed
-arrival, and on search starvation) are delegated to a pluggable policy,
-and the chosen action is carried out with the kinematics primitives.
+arrival, and on search starvation) are delegated to a pluggable policy;
+one that defers gets the CPFA's own parameter cascade, which lives here
+with the other seven-parameter rules.  The chosen action is carried out
+with the kinematics primitives.
 """
 from __future__ import annotations
 
@@ -25,8 +27,6 @@ from .policy import (
     PolicyDecision,
     TacticalAction,
     build_whitelist,
-    fallback_decide,
-    should_give_up,
 )
 
 # Unsuccessful search raises the starvation decision after T_S seconds,
@@ -93,6 +93,34 @@ def should_switch_to_search(params: CpfaParams, rng: np.random.Generator) -> boo
     return rng.uniform() < params.p_s
 
 
+def should_give_up(params: CpfaParams, rng: np.random.Generator) -> bool:
+    return rng.uniform() < params.p_r
+
+
+def fallback_decide(
+    event: DecisionEvent, params: CpfaParams, rng: np.random.Generator
+) -> TacticalAction:
+    """The CPFA's cascade, for an event no policy answered.
+
+    Starvation gives up with probability p_r.  After a deposit the robot
+    returns to its site with probability POISCDF(density, lambda_f); a
+    deposit always follows a pickup, so the site is known.  Otherwise,
+    and on an empty-handed arrival (the site was abandoned with the
+    search), it follows a pheromone if one is active, else searches at
+    random.
+    """
+    if event.event_type is EventType.SEARCH_STARVATION:
+        if should_give_up(params, rng):
+            return TacticalAction.RETURN_FOR_INFO
+        return TacticalAction.CONTINUE_SEARCH
+    if (event.event_type is EventType.POST_DEPOSIT_DECISION
+            and rng.uniform() < poisson_cdf(event.resource_density, params.lambda_f)):
+        return TacticalAction.USE_SITE_FIDELITY
+    if event.active_pheromone_count > 0:
+        return TacticalAction.FOLLOW_PHEROMONE
+    return TacticalAction.UNINFORMED_SEARCH
+
+
 @dataclass
 class Robot:
     """One robot: its pose, controller state, pickup memory and timers."""
@@ -109,7 +137,6 @@ class Robot:
     last_density: int = 0
     last_pickup_time: float = 0.0
     search_started_at: Optional[float] = None
-    informed_search_started_at: Optional[float] = None
     next_tick_at: float = TICK_PERIOD_S
     next_starvation_at: Optional[float] = None
     # a decision waiting out the injected latency: (until, event, decision)
@@ -144,7 +171,6 @@ class Robot:
     def _begin_search(self, world, informed: bool) -> None:
         now = world.t
         self.search_started_at = now
-        self.informed_search_started_at = now if informed else None
         self.next_starvation_at = now + SEARCH_STARVATION_AFTER_S
         self.target = None
         self._set_state(
@@ -154,7 +180,6 @@ class Robot:
 
     def _go_home(self, world, carrying: bool) -> None:
         self.target = (0.0, 0.0)
-        self.next_starvation_at = None
         self._set_state(
             world,
             FsmState.RETURNING_WITH_RESOURCE if carrying else FsmState.RETURNING_EMPTY,
@@ -324,18 +349,18 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
             return robot.state
         tick = robot._tick_due(now)
         if policy.uses_starvation:
-            if robot.next_starvation_at is not None and now >= robot.next_starvation_at - _EPS:
+            if now >= robot.next_starvation_at - _EPS:
                 _decide(robot, world, policy, EventType.SEARCH_STARVATION)
                 if robot.state not in SEARCHING_STATES or robot.held is not None:
                     return robot.state
         elif tick and should_give_up(params, robot.rng):
-            world.log(robot, "GIVE_UP", {"searched": round(now - (robot.search_started_at or now), 6)})
+            world.log(robot, "GIVE_UP", {"searched": round(now - robot.search_started_at, 6)})
             robot._go_home(world, carrying=False)
             return robot.state
         if tick:
             if robot.state is FsmState.SEARCHING_INFORMED:
-                t_informed = now - (robot.informed_search_started_at or now)
-                robot.heading = informed_step_heading(robot.heading, t_informed, params, robot.rng)
+                robot.heading = informed_step_heading(
+                    robot.heading, now - robot.search_started_at, params, robot.rng)
             else:
                 robot.heading = uninformed_step_heading(robot.heading, params, robot.rng)
         _search_drive(robot, world, gated)
@@ -358,7 +383,7 @@ def fsm_step(robot: Robot, world, policy, gated: bool = False) -> FsmState:
         if math.hypot(robot.x, robot.y) > world.arena.center_zone_radius:
             _travel_drive(robot, world, gated)
         elif state is RETURNING_WITH_RESOURCE:
-            world.try_deposit(robot)
+            world.deposit(robot)
             # every carried resource was picked up, so site fidelity holds
             if should_lay_pheromone(robot.last_density, params, robot.rng):
                 world.pheromones.add(robot.last_pickup_location, now)

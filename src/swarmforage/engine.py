@@ -250,13 +250,10 @@ class World:
         self.log(robot, "PICKUP", {"location": [loc[0], loc[1]], "density": density})
         return loc, density
 
-    def try_deposit(self, robot) -> bool:
-        """Deposit the carried resource; False when outside the central zone."""
-        if math.hypot(robot.x, robot.y) > self.arena.center_zone_radius:
-            return False
+    def deposit(self, robot) -> None:
+        """Deposit the resource a robot has carried into the central zone."""
         self.deposits += 1
         self.log(robot, "DEPOSIT", {"total": self.deposits})
-        return True
 
     # -- bookkeeping --------------------------------------------------------
 

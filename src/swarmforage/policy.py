@@ -3,21 +3,17 @@
 A robot that deposits a resource, arrives at the centre empty-handed, or
 searches too long without success builds a DecisionEvent from its own
 local state plus the shared pheromone manager and asks its policy for an
-action.  Policies are interchangeable: the parameter-driven cascade, a
+action.  Policies are interchangeable: the CPFA's own cascade, a
 deterministic scripted heuristic, or a fixed-action stand-in.  The
-LLM-backed policy, which falls back to the cascade on any failure, is
-the gateway's client.  A policy that does not answer defers to the
-cascade, which the controller runs on the robot's policy stream.
+LLM-backed policy is the gateway's client.  A policy that does not
+answer, or fails, defers to the cascade (``cpfa.fallback_decide``),
+which the controller runs on the robot's policy stream.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
-
-from .core import CpfaParams, poisson_cdf
 
 
 class TacticalAction(str, enum.Enum):
@@ -102,46 +98,6 @@ class DecisionEvent:
 class DecisionResponse:
     action: str
     rationale: str
-
-
-def cascade_post_deposit(
-    fidelity: bool, density: int, pheromones_active: int,
-    params: CpfaParams, rng: np.random.Generator,
-) -> TacticalAction:
-    """Vanilla choice after a deposit: fidelity, then trails, then random."""
-    if fidelity and rng.uniform() < poisson_cdf(density, params.lambda_f):
-        return TacticalAction.USE_SITE_FIDELITY
-    if pheromones_active > 0:
-        return TacticalAction.FOLLOW_PHEROMONE
-    return TacticalAction.UNINFORMED_SEARCH
-
-
-def cascade_central_arrival(pheromones_active: int) -> TacticalAction:
-    """Two-way cascade after an empty-handed return (fidelity flag was
-    cleared on give-up, so that branch is disabled)."""
-    if pheromones_active > 0:
-        return TacticalAction.FOLLOW_PHEROMONE
-    return TacticalAction.UNINFORMED_SEARCH
-
-
-def should_give_up(params: CpfaParams, rng: np.random.Generator) -> bool:
-    return rng.uniform() < params.p_r
-
-
-def fallback_decide(
-    event: DecisionEvent, params: CpfaParams, rng: np.random.Generator
-) -> TacticalAction:
-    """The cascade choice for an event no policy answered."""
-    if event.event_type is EventType.SEARCH_STARVATION:
-        if should_give_up(params, rng):
-            return TacticalAction.RETURN_FOR_INFO
-        return TacticalAction.CONTINUE_SEARCH
-    if event.event_type is EventType.POST_DEPOSIT_DECISION:
-        return cascade_post_deposit(
-            event.last_pickup_location is not None, event.resource_density,
-            event.active_pheromone_count, params, rng,
-        )
-    return cascade_central_arrival(event.active_pheromone_count)
 
 
 def scripted_decide(event: DecisionEvent) -> DecisionResponse:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Arena, CpfaParams, PARAM_NAMES, PARAM_RANGES, derive_seed
+from .core import DEFAULT_PARAMS, Arena, CpfaParams, PARAM_NAMES, PARAM_RANGES, derive_seed
 from .engine import TrialConfig, run_trial
 from .layouts import Distribution, LayoutSpec
 
@@ -40,6 +40,8 @@ class GaConfig:
     def __post_init__(self):
         if min(self.population, self.generations, self.trials_per_genome) < 1:
             raise ValueError("population, generations and trials_per_genome must be >= 1")
+        # a bad arena, count, team or duration fails here, not in the first evaluation
+        self.training_config(DEFAULT_PARAMS, seed=0)
 
     def training_config(self, genome: CpfaParams, seed: int) -> TrialConfig:
         arena = Arena.square(self.arena_side)

@@ -27,7 +27,8 @@ from swarmforage.layouts import (
     generate,
     powerlaw_schedule,
 )
-from swarmforage.policy import TacticalAction, cascade_post_deposit
+from swarmforage.cpfa import fallback_decide
+from swarmforage.policy import DecisionEvent, EventType, TacticalAction, build_whitelist
 from swarmforage.tuner import GaConfig, ga_cost, ga_run
 
 from conftest import single_linkage_labels
@@ -175,8 +176,15 @@ def test_criterion_08_cascade_statistics():
         n = 100_000
         for c, lam in ((10, 20.0), (2, 1.0), (0, 1.0), (5, 5.0), (3, 8.0)):
             params = CpfaParams(**{**DEFAULT_PARAMS.as_dict(), "lambda_f": lam})
+            event = DecisionEvent(
+                robot_id="r0", event_type=EventType.POST_DEPOSIT_DECISION,
+                current_state="RETURNING_WITH_RESOURCE", sim_time_sec=90.0, position=(0.2, 0.1),
+                resource_density=c, time_since_last_pickup=80.0, last_pickup_location=(1.0, 1.0),
+                active_pheromone_count=0,
+                allowed_actions=tuple(build_whitelist(EventType.POST_DEPOSIT_DECISION)),
+            )
             hits = sum(
-                cascade_post_deposit(True, c, 0, params, rng) is TacticalAction.USE_SITE_FIDELITY
+                fallback_decide(event, params, rng) is TacticalAction.USE_SITE_FIDELITY
                 for _ in range(n)
             )
             p = poisson_cdf(c, lam)

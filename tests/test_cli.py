@@ -107,6 +107,17 @@ class TestRunTrial:
         assert main(["run-trial", "--team", "0", "--duration", "1"]) == 2
         assert "team_size must be positive" in capsys.readouterr().err
 
+    def test_bad_count_or_arena_is_a_usage_error(self, capsys):
+        assert main(["run-trial", "--count", "-1", "--duration", "1"]) == 2
+        assert "resource_count must be nonnegative" in capsys.readouterr().err
+        assert main(["run-trial", "--arena", "0.5", "--count", "4", "--duration", "1"]) == 2
+        assert "center zone must fit inside the arena" in capsys.readouterr().err
+
+    def test_missing_params_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "params.txt"
+        assert main(["run-trial", "--duration", "1", "--params", str(missing)]) == 1
+        assert str(missing) in capsys.readouterr().err
+
     def test_defaults_are_the_trial_config_defaults(self):
         args = build_parser().parse_args(["run-trial"])
         defaults = {f.name: f.default for f in dataclasses.fields(TrialConfig)}
@@ -144,6 +155,14 @@ class TestGaTrain:
         out = tmp_path / "best.txt"
         assert main(["ga-train", "--population", "0", "--out", str(out)]) == 2
         assert "population, generations and trials_per_genome" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_arena_inside_the_central_zone_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "best.txt"
+        with pytest.raises(ValueError, match="center zone must fit inside the arena"):
+            GaConfig(arena_side=0.5, resource_count=4)
+        assert main(["ga-train", "--arena", "0.5", "--count", "4", "--out", str(out)]) == 2
+        assert "center zone must fit inside the arena" in capsys.readouterr().err
         assert not out.exists()
 
     def test_params_file_feeds_run_trial(self, tmp_path, capsys):
@@ -226,6 +245,13 @@ class TestGridAndReport:
                      "--policies", "cascade,cascade"])
         assert code == 2
         assert "policies repeats an entry" in capsys.readouterr().err
+        assert not store.exists()
+
+    def test_missing_params_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "params.txt"
+        store = tmp_path / "store"
+        assert main(["run-grid", "--params", str(missing), "--out", str(store)]) == 1
+        assert str(missing) in capsys.readouterr().err
         assert not store.exists()
 
     def test_unknown_report_policy_is_a_usage_error(self, tmp_path, capsys):

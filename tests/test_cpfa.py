@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from swarmforage import cpfa
 from swarmforage.core import Arena, CpfaParams, DEFAULT_PARAMS, SIGMA_MAX, poisson_cdf
 from swarmforage.cpfa import (
     SEARCH_STARVATION_AFTER_S,
     SEARCH_STARVATION_EVERY_S,
+    fallback_decide,
     informed_sigma,
+    should_give_up,
     should_lay_pheromone,
     should_switch_to_search,
     uninformed_step_heading,
@@ -22,10 +25,6 @@ from swarmforage.policy import (
     PolicyDecision,
     TacticalAction,
     build_whitelist,
-    cascade_central_arrival,
-    cascade_post_deposit,
-    fallback_decide,
-    should_give_up,
 )
 
 
@@ -88,10 +87,32 @@ class TestWalkMath:
             informed_sigma(-1.0, DEFAULT_PARAMS)
 
 
+def cascade_event(event_type, density=0, pheromones=0):
+    """A decision event at the centre, after a pickup at (1, 1)."""
+    return DecisionEvent(
+        robot_id="r0", event_type=event_type,
+        current_state=("RETURNING_WITH_RESOURCE" if event_type is EventType.POST_DEPOSIT_DECISION
+                       else "RETURNING_EMPTY"),
+        sim_time_sec=90.0, position=(0.2, 0.1), resource_density=density,
+        time_since_last_pickup=80.0, last_pickup_location=(1.0, 1.0),
+        active_pheromone_count=pheromones,
+        allowed_actions=tuple(build_whitelist(event_type)),
+    )
+
+
+def post_deposit(density, pheromones=0):
+    return cascade_event(EventType.POST_DEPOSIT_DECISION, density, pheromones)
+
+
+def central_arrival(pheromones, density=0):
+    return cascade_event(EventType.CENTRAL_ZONE_ARRIVAL, density, pheromones)
+
+
 class TestCascades:
     def test_post_deposit_no_options(self):
+        # POISCDF(0, 20) ~ 2e-9: fidelity misses, and with no trail the robot searches
         rng = np.random.default_rng(0)
-        action = cascade_post_deposit(False, 0, 0, DEFAULT_PARAMS, rng)
+        action = fallback_decide(post_deposit(0), params_with(lambda_f=20.0), rng)
         assert action is TacticalAction.UNINFORMED_SEARCH
 
     def test_post_deposit_site_fidelity_frequency(self):
@@ -101,8 +122,9 @@ class TestCascades:
         n = 100_000
         for c, lam in cases:
             params = params_with(lambda_f=lam)
+            event = post_deposit(c)
             hits = sum(
-                cascade_post_deposit(True, c, 0, params, rng) is TacticalAction.USE_SITE_FIDELITY
+                fallback_decide(event, params, rng) is TacticalAction.USE_SITE_FIDELITY
                 for _ in range(n)
             )
             p = poisson_cdf(c, lam)
@@ -113,31 +135,46 @@ class TestCascades:
         params = params_with(lambda_f=1.0)
         rng = np.random.default_rng(5)
         assert poisson_cdf(10, 1.0) >= 0.995
+        event = post_deposit(10, pheromones=3)
         hits = sum(
-            cascade_post_deposit(True, 10, 3, params, rng) is TacticalAction.USE_SITE_FIDELITY
+            fallback_decide(event, params, rng) is TacticalAction.USE_SITE_FIDELITY
             for _ in range(2000)
         )
         assert hits / 2000 >= 0.99
 
     def test_post_deposit_prefers_pheromone_over_random(self):
+        # a fidelity miss follows a trail when one is active
         rng = np.random.default_rng(0)
-        assert cascade_post_deposit(False, 0, 3, DEFAULT_PARAMS, rng) is TacticalAction.FOLLOW_PHEROMONE
+        action = fallback_decide(post_deposit(0, pheromones=3), params_with(lambda_f=20.0), rng)
+        assert action is TacticalAction.FOLLOW_PHEROMONE
 
     def test_central_arrival_two_way(self):
-        assert cascade_central_arrival(0) is TacticalAction.UNINFORMED_SEARCH
-        assert cascade_central_arrival(2) is TacticalAction.FOLLOW_PHEROMONE
+        # pheromone over random, and no draw from the policy stream
+        rng = np.random.default_rng(0)
+        for pheromones, expected in ((0, TacticalAction.UNINFORMED_SEARCH),
+                                     (2, TacticalAction.FOLLOW_PHEROMONE)):
+            assert fallback_decide(central_arrival(pheromones), DEFAULT_PARAMS, rng) is expected
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_central_arrival_ignores_fidelity_flag(self):
         # a remembered dense site does not reopen the fidelity branch
         rng = np.random.default_rng(0)
-        event = DecisionEvent(
-            robot_id="r0", event_type=EventType.CENTRAL_ZONE_ARRIVAL,
-            current_state="RETURNING_EMPTY", sim_time_sec=90.0, position=(0.2, 0.1),
-            resource_density=9, time_since_last_pickup=80.0, last_pickup_location=(1.0, 1.0),
-            active_pheromone_count=0,
-            allowed_actions=tuple(build_whitelist(EventType.CENTRAL_ZONE_ARRIVAL)),
-        )
-        assert fallback_decide(event, DEFAULT_PARAMS, rng) is TacticalAction.UNINFORMED_SEARCH
+        action = fallback_decide(central_arrival(0, density=9), DEFAULT_PARAMS, rng)
+        assert action is TacticalAction.UNINFORMED_SEARCH
+
+    @pytest.mark.parametrize("policy, draws_per_deposit", [("cascade", 2), ("scripted", 1)])
+    def test_every_poisson_draw_goes_through_cpfa(self, monkeypatch, policy, draws_per_deposit):
+        # the pheromone check at each deposit, plus the cascade's fidelity draw
+        calls = []
+
+        def counted(c, lam):
+            calls.append((c, lam))
+            return poisson_cdf(c, lam)
+
+        monkeypatch.setattr(cpfa, "poisson_cdf", counted)
+        result = run_trial(trial_config(policy=policy, duration=300.0, seed=2))
+        assert result.deposits > 0
+        assert len(calls) == draws_per_deposit * result.deposits
 
 
 class TestStochasticChecks:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from swarmforage.core import Arena, DEFAULT_PARAMS, CpfaParams
-from swarmforage.cpfa import FsmState
 from swarmforage.engine import PheromoneManager, TrialConfig, World, run_trial
 from swarmforage.kinematics import MotionLimits, apply_yield, move_toward, wrap_angle
 from swarmforage.layouts import Distribution, LayoutSpec, ResourceField
@@ -103,16 +102,6 @@ class TestPickupDeposit:
         robot.x, robot.y = 2.12, 2.0
         location, _density = world.try_pickup(robot)
         assert location == (2.1, 2.0)
-
-    def test_deposit_requires_zone(self):
-        world = self.make_world([[2.0, 2.0]])
-        robot = world.robots[0]
-        robot.state = FsmState.RETURNING_WITH_RESOURCE
-        robot.x, robot.y = 2.9, 2.9
-        assert world.try_deposit(robot) is False
-        robot.x, robot.y = 0.1, 0.0
-        assert world.try_deposit(robot) is True
-        assert world.deposits == 1
 
 
 class TestTrials:

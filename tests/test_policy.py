@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swarmforage.core import DEFAULT_PARAMS, CpfaParams
+from swarmforage.cpfa import fallback_decide
 from swarmforage.engine import make_policy
 from swarmforage.gateway import GatewayConfig, LlmClient
 from swarmforage.policy import (
@@ -14,7 +15,6 @@ from swarmforage.policy import (
     ScriptedPolicy,
     TacticalAction,
     build_whitelist,
-    fallback_decide,
     scripted_decide,
 )
 
@@ -101,9 +101,11 @@ class TestFallbackDecide:
         assert fallback_decide(event, params, rng) is TacticalAction.CONTINUE_SEARCH
 
     def test_post_deposit_without_options(self):
-        event = make_event(density=0, pheromones=0)
+        # POISCDF(0, 20) ~ 2e-9: the fidelity draw misses and no trail is active
+        params = CpfaParams(**{**DEFAULT_PARAMS.as_dict(), "lambda_f": 20.0})
+        event = make_event(density=0, pheromones=0, pickup=(0.8, -1.2))
         rng = np.random.default_rng(0)
-        assert fallback_decide(event, DEFAULT_PARAMS, rng) is TacticalAction.UNINFORMED_SEARCH
+        assert fallback_decide(event, params, rng) is TacticalAction.UNINFORMED_SEARCH
 
     def test_central_arrival_prefers_pheromone(self):
         event = make_event(EventType.CENTRAL_ZONE_ARRIVAL, pheromones=2)
