@@ -76,7 +76,7 @@ def _cmd_gen_layout(args) -> int:
         spec = LayoutSpec(Distribution(args.dist), args.count, Arena.square(args.arena),
                           seed=args.seed)
         field = generate(spec)
-    except (ValueError, LayoutError) as exc:  # e.g. a clustered count not divisible by 4
+    except ValueError as exc:  # e.g. a clustered count not divisible by 4
         print(exc, file=sys.stderr)
         return 2
     save_layout(field, spec, args.out)
@@ -96,7 +96,11 @@ def _cmd_run_trial(args) -> int:
         resources = None
         if args.layout_file:
             # the file's header, not --dist/--count/--layout-seed, says what runs
-            layout = load_layout_spec(args.layout_file)
+            try:
+                layout = load_layout_spec(args.layout_file)
+            except LayoutError as exc:  # a layout file without a header
+                print(exc, file=sys.stderr)
+                return 1
             if layout.arena != arena:
                 print(f"{args.layout_file}: its arena is not --arena {args.arena:g}",
                       file=sys.stderr)
@@ -118,10 +122,10 @@ def _cmd_run_trial(args) -> int:
             seed=args.seed,
             gateway=_gateway_from_args(args) if args.policy == "llm" else None,
         )
-    except (OSError, LayoutError) as exc:  # a missing file, or a layout file without a header
+    except OSError as exc:  # a missing parameter or layout file
         print(exc, file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. a team of 0, or an arena inside the central zone
+    except ValueError as exc:  # e.g. a team of 0, or a count no layout of --dist can hold
         print(exc, file=sys.stderr)
         return 2
     result = run_trial(config, resources=resources)
@@ -153,7 +157,7 @@ def _cmd_ga_train(args) -> int:
         return 1
     try:
         config = _ga_config(args, count)
-    except ValueError as exc:  # e.g. a population of 0
+    except ValueError as exc:  # e.g. a population of 0, or a count no layout of --dist can hold
         print(exc, file=sys.stderr)
         return 2
     start = time.time()

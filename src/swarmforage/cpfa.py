@@ -211,12 +211,13 @@ def _travel_drive(robot: Robot, world, gated: bool) -> bool:
     """One step toward the current target; True once within tolerance."""
     lim = world.limits
     tx, ty = robot.target
-    if math.hypot(tx - robot.x, ty - robot.y) <= lim.arrival_tolerance:
+    dist = math.hypot(tx - robot.x, ty - robot.y)
+    if dist <= lim.arrival_tolerance:
         return True
     if gated:
         robot.heading = wrap_angle(robot.heading + YIELD_TURN_RAD)
         return False
-    x, y, robot.heading = move_toward(robot.x, robot.y, robot.heading, robot.target, lim)
+    x, y, robot.heading = move_toward(robot.x, robot.y, robot.heading, robot.target, lim, dist)
     cx, cy, clamped = clamp_to_walls(x, y, world.arena.half_width)
     if clamped and robot.state is DISPERSING:
         # wall contact while heading to a random waypoint: pick a new one

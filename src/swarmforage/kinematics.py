@@ -54,17 +54,18 @@ def clamp_to_walls(x: float, y: float, half_width: float) -> tuple[float, float,
 
 
 def move_toward(x: float, y: float, heading: float, target: tuple[float, float],
-                limits: MotionLimits) -> tuple[float, float, float]:
+                limits: MotionLimits, dist: float) -> tuple[float, float, float]:
     """One dt of turn-then-drive motion from ``(x, y, heading)`` toward
     ``target``: the new ``(x, y, heading)``.
 
     Heading rotates toward the bearing by at most angular_speed*dt; the
     robot translates only once the remaining heading error is inside the
-    gate, and never overshoots the target.
+    gate, and never overshoots the target.  ``dist`` must be
+    ``math.hypot(target[0] - x, target[1] - y)``, which the caller has
+    already computed for its own arrival check.
     """
     dx = target[0] - x
     dy = target[1] - y
-    dist = math.hypot(dx, dy)
     if dist <= limits.arrival_tolerance:
         return x, y, heading
     bearing = math.atan2(dy, dx)

@@ -8,6 +8,7 @@ pre-deposited.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,17 @@ RANDOM_MIN_SPACING = 0.05
 MAX_POINT_ATTEMPTS = 10_000
 MAX_ANCHOR_ATTEMPTS = 2_000
 MAX_LAYOUT_RESTARTS = 100
+# Anchors and candidate points are drawn this many coordinates at a time.
+# Each generator owns its RNG, so values drawn ahead and never used change
+# nothing.
+UNIFORM_BLOCK = 512
+# Slack, far above rounding at arena scale, for the spacing buckets and the
+# cluster keep-out test: a pair decided without its exact distance is
+# further from the boundary than any rounding can move it.
+ROUNDING_MARGIN = 1e-6  # m
+# Most spacing buckets a side of a random layout's grid: finer buckets would
+# cost memory and skip next to no more spacing checks.
+MAX_SPACING_BUCKETS = 512
 
 
 class Distribution(enum.Enum):
@@ -36,7 +48,7 @@ class Distribution(enum.Enum):
     RANDOM = "random"
 
 
-class LayoutError(Exception):
+class LayoutError(ValueError):
     """Raised when a layout cannot be generated for the given spec."""
 
 
@@ -51,6 +63,11 @@ class LayoutSpec:
     def __post_init__(self):
         if self.resource_count < 0:
             raise ValueError("resource_count must be nonnegative")
+        if self.distribution is Distribution.CLUSTERED and self.resource_count % 4:
+            raise LayoutError(
+                f"clustered layout needs a count divisible by 4, got {self.resource_count}")
+        if self.distribution is Distribution.POWERLAW:
+            powerlaw_schedule(self.resource_count)  # LayoutError if it has none
 
     @property
     def keep_out(self) -> float:
@@ -85,31 +102,52 @@ def _admissible(points: np.ndarray, spec: LayoutSpec) -> bool:
     return bool(np.all(np.hypot(points[:, 0], points[:, 1]) > spec.keep_out))
 
 
+def _uniform_pairs(rng: np.random.Generator, half_width: float):
+    """Endless ``(x, y)`` draws over the square, equal to pairs of scalar
+    ``rng.uniform(-half_width, half_width)`` calls but drawn in blocks."""
+    while True:
+        values = rng.uniform(-half_width, half_width, size=UNIFORM_BLOCK).tolist()
+        yield from zip(values[0::2], values[1::2])
+
+
 def gen_random(spec: LayoutSpec) -> ResourceField:
-    """Uniform i.i.d. points over the admissible region, rejection-sampled."""
+    """Uniform i.i.d. points over the admissible region, rejection-sampled.
+
+    The spacing check runs over every placed point, but only for a
+    candidate in a spacing bucket next to a placed point's: from any
+    other bucket, every placed point is farther than the spacing.
+    """
     if spec.distribution is not Distribution.RANDOM:
         raise ValueError("spec.distribution must be RANDOM")
     rng = np.random.default_rng(derive_seed(spec.seed, "layout", "random"))
-    arena = spec.arena
-    placed: list[tuple[float, float]] = []
-    for _ in range(spec.resource_count):
-        for attempt in range(MAX_POINT_ATTEMPTS):
-            x = rng.uniform(-arena.half_width, arena.half_width)
-            y = rng.uniform(-arena.half_width, arena.half_width)
-            if math.hypot(x, y) <= spec.keep_out:
+    keep_out = spec.keep_out
+    spacing = spec.min_spacing
+    hw = spec.arena.half_width
+    # buckets over [-hw, hw] plus one of padding on each side, row-major
+    side = max(2 * hw / MAX_SPACING_BUCKETS, spacing + ROUNDING_MARGIN)  # finite for a NaN spacing
+    width = math.floor(2 * hw / side) + 3
+    near = bytearray(width * width)  # 1 for a bucket in or next to a placed point's
+    placed = np.empty((spec.resource_count, 2))
+    pairs = _uniform_pairs(rng, hw)
+    for k in range(spec.resource_count):
+        for _attempt, (x, y) in zip(range(MAX_POINT_ATTEMPTS), pairs):
+            if math.hypot(x, y) <= keep_out:
                 continue
-            if placed:
-                arr = np.asarray(placed)
-                if np.min(np.hypot(arr[:, 0] - x, arr[:, 1] - y)) < spec.min_spacing:
+            if spacing > 0:  # no distance is below a spacing of 0 or less
+                key = (math.floor((x + hw) / side) + 1) * width + math.floor((y + hw) / side) + 1
+                if near[key] and np.min(
+                        np.hypot(placed[:k, 0] - x, placed[:k, 1] - y)) < spacing:
                     continue
-            placed.append((x, y))
+                for row in (key - width, key, key + width):
+                    near[row - 1:row + 2] = b"\1\1\1"
+            placed[k] = x, y
             break
         else:
             raise LayoutError(
                 f"could not place {spec.resource_count} points at spacing "
                 f"{spec.min_spacing} after {MAX_POINT_ATTEMPTS} attempts"
             )
-    return ResourceField.from_positions(np.asarray(placed).reshape(-1, 2))
+    return ResourceField.from_positions(placed)
 
 
 def _cluster_grid(size: int) -> np.ndarray:
@@ -131,52 +169,80 @@ def _cluster_grid(size: int) -> np.ndarray:
     return coords * CLUSTER_PITCH
 
 
-def _cluster_radius(size: int) -> float:
-    """Circumradius of a cluster footprint, for anchor separation tests."""
-    offsets = _cluster_grid(size)
-    if len(offsets) == 0:
-        return 0.0
-    return float(np.max(np.hypot(offsets[:, 0], offsets[:, 1])))
+class _Cluster:
+    """One cluster footprint: its offsets, circumradius and bounding box."""
+
+    __slots__ = ("offsets", "radius", "x_lo", "y_lo", "x_hi", "y_hi")
+
+    def __init__(self, size: int):
+        self.offsets = _cluster_grid(size)
+        self.offsets.flags.writeable = False  # shared by every layout
+        self.radius = float(np.max(np.hypot(self.offsets[:, 0], self.offsets[:, 1])))
+        self.x_lo, self.y_lo = self.offsets.min(axis=0).tolist()
+        self.x_hi, self.y_hi = self.offsets.max(axis=0).tolist()
+
+    def admits(self, ax: float, ay: float, spec: LayoutSpec) -> bool:
+        """``_admissible(self.offsets + (ax, ay), spec)``, mostly without numpy.
+
+        ``fl(o + a)`` is monotone in ``o``, so the extreme offsets give the
+        extreme points and four comparisons test the walls.  Every point
+        lies within ``radius`` of the anchor, so an anchor distance ``d``
+        with ``d - radius`` beyond the keep-out radius by a margin far above
+        rounding puts all of them outside the disc, and ``d + radius`` short
+        of it by the margin puts all of them inside.  Only an anchor in
+        between builds its points.
+        """
+        hw = spec.arena.half_width
+        if (self.x_hi + ax > hw or self.x_lo + ax < -hw
+                or self.y_hi + ay > hw or self.y_lo + ay < -hw):
+            return False
+        d = math.hypot(ax, ay)
+        if d - self.radius > spec.keep_out + ROUNDING_MARGIN:
+            return True
+        if d + self.radius < spec.keep_out - ROUNDING_MARGIN:
+            return False
+        return _admissible(self.offsets + (ax, ay), spec)
+
+
+@functools.cache
+def _cluster(size: int) -> _Cluster:
+    """The footprint of a cluster of ``size`` points, built once per size."""
+    return _Cluster(size)
+
+
+def _drop_clusters(spec: LayoutSpec, sizes: list[int], pairs) -> list[np.ndarray] | None:
+    """One attempt at every cluster of ``sizes``, largest first: each
+    one's points, in ``sizes`` order, or None if one found no anchor."""
+    placed: list[tuple[float, float, float]] = []  # anchor x, y and radius
+    chunks: list[np.ndarray] = [np.zeros((0, 2))] * len(sizes)
+    for idx in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        cluster = _cluster(sizes[idx])
+        radius = cluster.radius
+        for _attempt, (ax, ay) in zip(range(MAX_ANCHOR_ATTEMPTS), pairs):
+            if not cluster.admits(ax, ay, spec):
+                continue
+            if any(math.hypot(ax - bx, ay - by) < radius + br + CLUSTER_GAP
+                   for bx, by, br in placed):
+                continue
+            placed.append((ax, ay, radius))
+            chunks[idx] = cluster.offsets + (ax, ay)
+            break
+        else:
+            return None
+    return chunks
 
 
 def _place_clusters(spec: LayoutSpec, sizes: list[int], rng: np.random.Generator) -> ResourceField:
-    """Drop one grid cluster per entry of ``sizes``, largest first."""
-    arena = spec.arena
-    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    """Drop one grid cluster per entry of ``sizes``, largest first,
+    restarting from scratch when a cluster finds no anchor."""
+    pairs = _uniform_pairs(rng, spec.arena.half_width)  # one draw sequence across restarts
     for _restart in range(MAX_LAYOUT_RESTARTS):
-        anchors: list[tuple[float, float]] = []
-        radii: list[float] = []
-        chunks: list[np.ndarray] = [np.zeros((0, 2))] * len(sizes)
-        ok = True
-        for idx in order:
-            size = sizes[idx]
-            offsets = _cluster_grid(size)
-            radius = _cluster_radius(size)
-            for attempt in range(MAX_ANCHOR_ATTEMPTS):
-                ax = rng.uniform(-arena.half_width, arena.half_width)
-                ay = rng.uniform(-arena.half_width, arena.half_width)
-                points = offsets + (ax, ay)
-                if not _admissible(points, spec):
-                    continue
-                clash = False
-                for (bx, by), br in zip(anchors, radii):
-                    if math.hypot(ax - bx, ay - by) < radius + br + CLUSTER_GAP:
-                        clash = True
-                        break
-                if clash:
-                    continue
-                anchors.append((ax, ay))
-                radii.append(radius)
-                chunks[idx] = points
-                break
-            else:
-                ok = False
-                break
-        if ok:
+        chunks = _drop_clusters(spec, sizes, pairs)
+        if chunks is not None:
             return ResourceField.from_positions(np.vstack(chunks))
     raise LayoutError(
         f"could not place clusters {sizes} in a "
-        f"{2 * arena.half_width:g} m arena after {MAX_LAYOUT_RESTARTS} restarts"
+        f"{2 * spec.arena.half_width:g} m arena after {MAX_LAYOUT_RESTARTS} restarts"
     )
 
 
@@ -186,8 +252,6 @@ def gen_clustered(spec: LayoutSpec) -> ResourceField:
         raise ValueError("spec.distribution must be CLUSTERED")
     if spec.resource_count == 0:
         return ResourceField.from_positions(np.zeros((0, 2)))
-    if spec.resource_count % 4 != 0:
-        raise LayoutError(f"clustered layout needs a count divisible by 4, got {spec.resource_count}")
     rng = np.random.default_rng(derive_seed(spec.seed, "layout", "clustered"))
     sizes = [spec.resource_count // 4] * 4
     return _place_clusters(spec, sizes, rng)

@@ -33,6 +33,22 @@ class TestGenLayout:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("dist,count,message", [
+    ("clustered", "7", "divisible by 4"),
+    ("powerlaw", "10", "not expressible by the rank-4 schedule"),
+])
+def test_impossible_layout_count_is_a_usage_error_everywhere(tmp_path, capsys, dist, count, message):
+    # checked when the layout spec is built, before anything runs or is written
+    out = tmp_path / "out.txt"
+    for argv in (["gen-layout", "--arena", "6", "--out", str(out)],
+                 ["run-trial", "--duration", "1"],
+                 ["ga-train", "--population", "1", "--generations", "1", "--trials", "1",
+                  "--duration", "1", "--out", str(out)]):
+        assert main(argv + ["--dist", dist, "--count", count]) == 2, argv[0]
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunTrial:
     def test_reports_deposits_and_writes_log(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"

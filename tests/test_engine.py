@@ -13,6 +13,11 @@ LIMITS = MotionLimits()
 RobotPose = namedtuple("RobotPose", "x y heading")
 
 
+def drive(pose, target):
+    """``move_toward`` with the distance its caller computes beforehand."""
+    return move_toward(*pose, target, LIMITS, math.hypot(target[0] - pose.x, target[1] - pose.y))
+
+
 def trial_config(dist="clustered", count=64, side=6.0, team=4, policy="cascade",
                  duration=120.0, seed=1, layout_seed=None, params=DEFAULT_PARAMS):
     arena = Arena.square(side)
@@ -25,11 +30,11 @@ def trial_config(dist="clustered", count=64, side=6.0, team=4, policy="cascade",
 class TestMoveToward:
     def test_at_target_unchanged(self):
         pose = RobotPose(1.0, 1.0, 0.3)
-        assert move_toward(*pose, (1.02, 1.0), LIMITS) == (1.0, 1.0, 0.3)
+        assert drive(pose, (1.02, 1.0)) == (1.0, 1.0, 0.3)
 
     def test_reversed_heading_turns_in_place(self):
         pose = RobotPose(0.0, 0.0, math.pi - 1e-9)  # target dead astern
-        x, y, heading = move_toward(*pose, (1.0, 0.0), LIMITS)
+        x, y, heading = drive(pose, (1.0, 0.0))
         assert (x, y) == (0.0, 0.0)
         assert heading == pytest.approx(wrap_angle(pose.heading - 0.1), abs=1e-9)
 
@@ -39,19 +44,19 @@ class TestMoveToward:
         pose = RobotPose(0.0, 0.0, 0.0)
         steps = 0
         while math.hypot(1.0 - pose.x, 0.0 - pose.y) > LIMITS.arrival_tolerance:
-            pose = RobotPose(*move_toward(*pose, (1.0, 0.0), LIMITS))
+            pose = RobotPose(*drive(pose, (1.0, 0.0)))
             steps += 1
             assert steps < 100
         assert steps == expected_steps == 32
 
     def test_never_overshoots(self):
         pose = RobotPose(0.97, 0.0, 0.0)
-        x, _y, _heading = move_toward(*pose, (1.0, 0.0), LIMITS)
+        x, _y, _heading = drive(pose, (1.0, 0.0))
         assert x <= 1.0 + 1e-12
 
     def test_gated_drive_above_30_degrees(self):
         pose = RobotPose(0.0, 0.0, math.radians(40))
-        x, y, _heading = move_toward(*pose, (1.0, 0.0), LIMITS)
+        x, y, _heading = drive(pose, (1.0, 0.0))
         # after one 0.1 rad turn the error is ~0.598 rad > 30 deg: no translation
         assert (x, y) == (0.0, 0.0)
 

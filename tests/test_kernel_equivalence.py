@@ -227,7 +227,8 @@ def test_move_toward(p, heading, offset, lim):
     pose = RobotPose(p[0], p[1], heading)
     target = (p[0] + offset[0], p[1] + offset[1])
     expected = ref_move_toward(pose, target, lim)
-    assert bits(*move_toward(*pose, target, lim)) == bits(expected.x, expected.y, expected.heading)
+    dist = math.hypot(target[0] - pose.x, target[1] - pose.y)
+    assert bits(*move_toward(*pose, target, lim, dist)) == bits(expected.x, expected.y, expected.heading)
 
 
 # -- apply_yield and translation_allowed -------------------------------------------

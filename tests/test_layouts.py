@@ -32,6 +32,13 @@ def assert_admissible(field, spec):
     assert np.all(np.hypot(pos[:, 0], pos[:, 1]) > spec.keep_out)
 
 
+@pytest.mark.parametrize("dist,count", [("clustered", 7), ("clustered", 66), ("powerlaw", 10)])
+def test_impossible_count_fails_when_the_spec_is_built(dist, count):
+    with pytest.raises(LayoutError) as exc:
+        LayoutSpec(Distribution(dist), count, Arena.square(6.0), seed=0)
+    assert isinstance(exc.value, ValueError)  # a bad value, like a negative count
+
+
 class TestRandom:
     def test_counts_and_bounds(self):
         field = gen_random(spec_for("random", 64))
